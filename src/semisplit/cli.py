@@ -41,12 +41,22 @@ from .spaces import FiniteProbabilitySpace, FunctionVector, OperatorMatrix, comp
 from .splitter import certificate_text, dimension_sweep, split
 from .subspaces import Subspace, build_projection, first_level_subspace
 
-__all__ = ["main", "ExperimentConfig"]
+__all__ = ["main", "ExperimentConfig", "GATES"]
 
 RESULTS_HEADER = (
     "epsilon,theta,recon_error,norm_T0_pp,C0,norm_T1_p2,C1,exponent,"
     "slope_fit,bound_T0_ok,bound_T1_ok"
 )
+
+# Upper limits on the stability numbers that `dimsweep` and `corollary` print;
+# the subcommand exits 1 when one is exceeded.  Acceptance criteria 8 and 10
+# assert the same table.
+GATES = {
+    "theta_spread": 1e-12,
+    "C1_factor": 1.5,
+    "norm_T0_over_eps_factor": 2.0,
+    "projection_norm_factor": 1.5,
+}
 
 
 class UsageError(Exception):
@@ -175,12 +185,12 @@ def run_split(cfg: ExperimentConfig) -> int:
     log_eps: list[float] = []
     log_norm: list[float] = []
     all_ok = True
-    for eps in cfg.epsilons:
-        cert = split(
-            semigroup, domain, hm, cfg.p, eps,
-            restarts=cfg.restarts, node_restarts=cfg.node_restarts,
-            seed=cfg.seed, oracle_check=False,
-        )
+    certs = split(
+        semigroup, domain, hm, cfg.p, cfg.epsilons,
+        restarts=cfg.restarts, node_restarts=cfg.node_restarts,
+        seed=cfg.seed, oracle_check=False,
+    )
+    for eps, cert in zip(cfg.epsilons, certs):
         log_eps.append(math.log(eps))
         log_norm.append(math.log(max(cert.norm_T1_p2, 1e-300)))
         slope = _slope(log_eps, log_norm)
@@ -219,14 +229,14 @@ def run_dimsweep(cfg: ExperimentConfig) -> int:
     thetas = [r.theta for r in rows]
     c1s = [r.C1_measured for r in rows]
     t0s = [r.norm_T0_pp / eps for r in rows]
-    theta_spread = max(thetas) - min(thetas)
-    c1_factor = max(c1s) / min(c1s) if min(c1s) > 0 else math.inf
-    t0_factor = max(t0s) / min(t0s) if min(t0s) > 0 else math.inf
-    print(f"theta_spread {_fmt(theta_spread)}")
-    print(f"C1_factor {_fmt(c1_factor)}")
-    print(f"norm_T0_over_eps_factor {_fmt(t0_factor)}")
-    ok = theta_spread <= 1e-12 and c1_factor <= 1.5 and t0_factor <= 2.0
-    return 0 if ok else 1
+    stats = {
+        "theta_spread": max(thetas) - min(thetas),
+        "C1_factor": max(c1s) / min(c1s) if min(c1s) > 0 else math.inf,
+        "norm_T0_over_eps_factor": max(t0s) / min(t0s) if min(t0s) > 0 else math.inf,
+    }
+    for name, value in stats.items():
+        print(f"{name} {_fmt(value)}")
+    return 0 if all(value <= GATES[name] for name, value in stats.items()) else 1
 
 
 def _subspace_for(cfg: ExperimentConfig, n: int) -> Subspace:
@@ -264,7 +274,7 @@ def run_corollary(cfg: ExperimentConfig) -> int:
     (out / "corollary.csv").write_text("\n".join(lines) + "\n")
     factor = max(norms) / min(norms) if min(norms) > 0 else math.inf
     print(f"projection_norm_factor {_fmt(factor)}")
-    return 0 if factor <= 1.5 else 1
+    return 0 if factor <= GATES["projection_norm_factor"] else 1
 
 
 def run_checks(cfg: ExperimentConfig) -> int:
@@ -302,15 +312,15 @@ def run_checks(cfg: ExperimentConfig) -> int:
     )
 
     mass = float(hm.weights.sum())
-    mean = hm.integrate(hm._z)
+    mean = hm.integrate(hm.z)
     check("measure-mass", abs(mass - 1.0) <= 1e-8, f"mass {mass!r}")
     check("measure-mean-value", abs(mean - domain.t) <= 1e-7, f"integral of z = {mean!r}")
 
     eps = 1e-2
-    psi = strip_damping(hm.theta, eps, hm._w_strip)
-    on_v0 = np.abs(np.abs(psi[~hm._is_v1]) - eps).max()
+    psi = strip_damping(hm.theta, eps, hm.w_strip)
+    on_v0 = np.abs(np.abs(psi[~hm.is_v1]) - eps).max()
     target = eps ** ((hm.theta - 1) / hm.theta)
-    on_v1 = np.abs(np.abs(psi[hm._is_v1]) / target - 1.0).max()
+    on_v1 = np.abs(np.abs(psi[hm.is_v1]) / target - 1.0).max()
     check("damping-moduli", on_v0 <= 1e-7 and on_v1 <= 1e-6)
 
     est, se = brownian_exit_theta(domain, walkers=cfg.walkers, seed=cfg.seed)

@@ -630,6 +630,7 @@ class HarmonicMeasure:
     is the (smooth) Poisson kernel; each half-edge is graded toward its corner
     with a power substitution so that the pullback of analytic integrands keeps
     spectral accuracy despite the corner exponents of the conformal map.
+    Per-node arrays: ``weights`` and the read-only ``z``, ``w_strip``, ``is_v1``.
     """
 
     def __init__(self, domain: TriangleDomain, nodes_per_edge: int):
@@ -767,16 +768,16 @@ class HarmonicMeasure:
 
         order = np.lexsort((tau, edge))
         self._edge = edge[order].astype(int)
-        self._z = z[order]
+        self.z = z[order]
         self._tau = tau[order]
         self.weights = weights[order]
         self._zeta = zeta_all[order]
         self._density = density[order]
-        self._is_v1 = self._edge == 1
+        self.is_v1 = self._edge == 1
         w_strip = w_strip[order]
 
         total = float(self.weights.sum())
-        v1_mass = float(self.weights[self._is_v1].sum())
+        v1_mass = float(self.weights[self.is_v1].sum())
         # sanity net against construction bugs; honest coarse rules converge
         # spectrally (measured about e^(-0.8 n) per edge), so the tolerance
         # tracks the node budget down to a 1e-8 floor
@@ -787,19 +788,21 @@ class HarmonicMeasure:
             raise ConvergenceError(
                 f"vertical-edge mass {v1_mass} differs from theta = {self.theta}"
             )
-        drift = float(np.abs(w_strip.real - np.where(self._is_v1, 1.0, 0.0)).max())
+        drift = float(np.abs(w_strip.real - np.where(self.is_v1, 1.0, 0.0)).max())
         if drift > 1e-7:
             raise ConvergenceError(f"strip coordinates drifted {drift} off the boundary lines")
-        self._w_strip = np.where(self._is_v1, 1.0, 0.0) + 1j * w_strip.imag
+        self.w_strip = np.where(self.is_v1, 1.0, 0.0) + 1j * w_strip.imag
+        for arr in (self.z, self.w_strip, self.is_v1):
+            arr.flags.writeable = False
 
         self.nodes = tuple(
             BoundaryPoint(
-                complex(self._z[i]),
-                "V1" if self._is_v1[i] else "V0",
+                complex(self.z[i]),
+                "V1" if self.is_v1[i] else "V0",
                 float(self._tau[i]),
                 int(self._edge[i]),
             )
-            for i in range(self._z.size)
+            for i in range(self.z.size)
         )
 
     @property
@@ -823,7 +826,7 @@ class HarmonicMeasure:
         return complex(np.sum(np.asarray(values) * self.weights))
 
     def boundary_values(self, fn) -> np.ndarray:
-        return np.array([fn(z) for z in self._z])
+        return np.array([fn(z) for z in self.z])
 
 
 def strip_coordinate(domain: TriangleDomain, hm: HarmonicMeasure, z: complex) -> StripCoordinate:

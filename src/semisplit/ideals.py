@@ -9,7 +9,7 @@ with the ideal element applied last.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -83,15 +83,17 @@ def generic_split(
     hm: HarmonicMeasure,
     gamma: IdealNorm,
     op_norm: Callable[[OperatorMatrix], float],
-    epsilon: float,
-) -> SplitCertificate:
+    epsilon: float | Sequence[float],
+) -> SplitCertificate | list[SplitCertificate]:
     """The splitting pipeline with gamma on the vertical part and op_norm elsewhere.
 
-    Identical nodes and reductions as :func:`semisplit.splitter.split`; the
-    certificate fields norm_T1_p2 / C1_measured carry gamma values and
+    Identical nodes, reductions and ``epsilon`` forms as :func:`semisplit.split`;
+    the certificate fields norm_T1_p2 / C1_measured carry gamma values and
     norm_T0_pp / C0_measured / recon_error_pp carry op_norm values.
     """
-    return _split_engine(semigroup, domain, hm, epsilon, op_norm, gamma.gamma)
+    norms = (op_norm, gamma.gamma)
+    certs = _split_engine(semigroup, domain, hm, np.atleast_1d(epsilon), norms, norms)
+    return certs[0] if np.ndim(epsilon) == 0 else certs
 
 
 def measure_compatibility(

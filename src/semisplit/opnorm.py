@@ -42,11 +42,14 @@ def _colnorms(F: np.ndarray, p: float, w: np.ndarray) -> np.ndarray:
     return (w @ np.abs(F) ** p) ** (1.0 / p)
 
 
-def _phase(Z: np.ndarray) -> np.ndarray:
-    absz = np.abs(Z)
+def _phase(Z: np.ndarray, absz: np.ndarray | None = None) -> np.ndarray:
+    """Entrywise z/|z|; 0 where z is 0 or z/|z| overflows (non-finite z, subnormal |z|)."""
+    absz = np.abs(Z) if absz is None else absz
     with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
-        ph = np.where(absz > 0, Z / np.where(absz > 0, absz, 1.0), 0.0)
-    return np.nan_to_num(ph, nan=0.0, posinf=0.0, neginf=0.0)
+        ph = np.divide(Z, absz, out=np.zeros_like(Z), where=absz > 0)
+    if np.isfinite(ph).all():
+        return ph
+    return np.nan_to_num(ph, nan=0.0, posinf=0.0, neginf=0.0, copy=False)
 
 
 def _dual_image(Z: np.ndarray, expo: float) -> np.ndarray:
@@ -54,7 +57,7 @@ def _dual_image(Z: np.ndarray, expo: float) -> np.ndarray:
     absz = np.abs(Z)
     with np.errstate(invalid="ignore"):
         mag = absz**expo if expo != 1.0 else absz
-    return mag * _phase(Z)
+    return mag * _phase(Z, absz)
 
 
 def _check_exponent(p: float) -> None:

@@ -9,8 +9,8 @@ mean-value property makes (1-theta) T0 + theta T1 reconstruct T(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,71 +58,77 @@ class SplitCertificate:
     bound_T1_ok: bool
 
 
-def _node_operators(semigroup, zs) -> list[np.ndarray]:
-    return [semigroup.evaluate(complex(z)).entries for z in zs]
-
-
 def _split_engine(
     semigroup,
     domain: TriangleDomain,
     hm: HarmonicMeasure,
-    epsilon: float,
-    v0_norm: Callable[[OperatorMatrix], float],
-    v1_norm: Callable[[OperatorMatrix], float],
-) -> SplitCertificate:
-    if not (0.0 < epsilon <= 1.0):
-        raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
+    epsilons: Sequence[float],
+    node_norms: tuple[Callable, Callable],
+    final_norms: tuple[Callable, Callable],
+) -> list[SplitCertificate]:
+    """One certificate per eps.  The (slanted, vertical) ``node_norms`` give C0,
+    C1 and the reconstruction error, ``final_norms`` the norms of T0 and T1."""
+    epsilons = [float(e) for e in epsilons]
     theta = hm.theta
     if theta < 1e-6 or theta > 1.0 - 1e-6:
         raise IllConditionedSplitError(
             f"theta = {theta} makes one side of the split carry a 1/theta-scale factor"
         )
-    if (1.0 - theta) / theta * math.log(1.0 / epsilon) > 600.0:
-        raise IllConditionedSplitError(
-            f"damping magnitude epsilon^((theta-1)/theta) with theta = {theta} and "
-            f"epsilon = {epsilon} exceeds double-precision range"
-        )
+    for epsilon in epsilons:
+        if not (0.0 < epsilon <= 1.0):
+            raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
+        if (1.0 - theta) / theta * math.log(1.0 / epsilon) > 600.0:
+            raise IllConditionedSplitError(
+                f"damping magnitude epsilon^((theta-1)/theta) with theta = {theta} and "
+                f"epsilon = {epsilon} exceeds double-precision range"
+            )
     space = semigroup.space
-    psi = strip_damping(theta, epsilon, hm._w_strip)
-    mats = _node_operators(semigroup, hm._z)
-    d = space.size
-    T0_entries = np.zeros((d, d), dtype=complex)
-    T1_entries = np.zeros((d, d), dtype=complex)
-    c0 = 0.0
-    c1 = 0.0
-    # fixed node order keeps certificates reproducible for a given configuration
-    for i, mat in enumerate(mats):
-        coeff = hm.weights[i] * psi[i]
+    node_v0, node_v1 = node_norms
+    v0_norm, v1_norm = final_norms
+    mats = [semigroup.evaluate(complex(z)).entries for z in hm.z]
+    c0 = c1 = 0.0
+    for mat, on_v1 in zip(mats, hm.is_v1):
         A = OperatorMatrix.on(space, mat)
-        if hm._is_v1[i]:
-            T1_entries += (coeff / theta) * mat
-            c1 = max(c1, v1_norm(A))
+        if on_v1:
+            c1 = max(c1, node_v1(A))
         else:
-            T0_entries += (coeff / (1.0 - theta)) * mat
-            c0 = max(c0, v0_norm(A))
-    T0 = OperatorMatrix.on(space, T0_entries)
-    T1 = OperatorMatrix.on(space, T1_entries)
-    norm_T0 = v0_norm(T0)
-    norm_T1 = v1_norm(T1)
+            c0 = max(c0, node_v0(A))
     Tt = semigroup.evaluate(domain.t).entries
-    recon = v0_norm(
-        OperatorMatrix.on(space, Tt - ((1.0 - theta) * T0_entries + theta * T1_entries))
-    )
     exponent = (theta - 1.0) / theta
-    return SplitCertificate(
-        epsilon=float(epsilon),
-        theta=float(theta),
-        T0=T0,
-        T1=T1,
-        C0_measured=float(c0),
-        C1_measured=float(c1),
-        norm_T0_pp=float(norm_T0),
-        norm_T1_p2=float(norm_T1),
-        recon_error_pp=float(recon),
-        exponent=float(exponent),
-        bound_T0_ok=bool(norm_T0 <= c0 * epsilon * (1.0 + PADDING)),
-        bound_T1_ok=bool(norm_T1 <= c1 * epsilon**exponent * (1.0 + PADDING)),
-    )
+    certs = []
+    for epsilon in epsilons:
+        psi = strip_damping(theta, epsilon, hm.w_strip)
+        T0_entries = np.zeros((space.size,) * 2, dtype=complex)
+        T1_entries = np.zeros((space.size,) * 2, dtype=complex)
+        # fixed node order keeps certificates reproducible for a given configuration
+        for i, mat in enumerate(mats):
+            coeff = hm.weights[i] * psi[i]
+            if hm.is_v1[i]:
+                T1_entries += (coeff / theta) * mat
+            else:
+                T0_entries += (coeff / (1.0 - theta)) * mat
+        T0 = OperatorMatrix.on(space, T0_entries)
+        T1 = OperatorMatrix.on(space, T1_entries)
+        norm_T0 = v0_norm(T0)
+        norm_T1 = v1_norm(T1)
+        recon = node_v0(
+            OperatorMatrix.on(space, Tt - ((1.0 - theta) * T0_entries + theta * T1_entries))
+        )
+        certs.append(SplitCertificate(
+            epsilon=epsilon,
+            theta=float(theta),
+            T0=T0,
+            T1=T1,
+            C0_measured=float(c0),
+            C1_measured=float(c1),
+            norm_T0_pp=float(norm_T0),
+            norm_T1_p2=float(norm_T1),
+            recon_error_pp=float(recon),
+            exponent=float(exponent),
+            bound_T0_ok=bool(norm_T0 <= c0 * epsilon * (1.0 + PADDING)),
+            bound_T1_ok=bool(norm_T1 <= c1 * epsilon**exponent * (1.0 + PADDING)),
+        ))
+    return certs
 
 
 def split(
@@ -130,55 +136,44 @@ def split(
     domain: TriangleDomain,
     hm: HarmonicMeasure,
     p: float,
-    epsilon: float,
+    epsilon: float | Sequence[float],
     restarts: int = DEFAULT_RESTARTS,
     node_restarts: int | None = None,
     seed: int = 0,
     oracle_check: bool = True,
-) -> SplitCertificate:
-    """Build T0, T1 for the given damping level and certify both norm bounds.
+) -> SplitCertificate | list[SplitCertificate]:
+    """Build T0, T1 for each damping level and certify both norm bounds.
 
-    The slanted part is measured in the p -> p norm, the vertical part in the
-    p -> 2 norm.  On spaces small enough for the dense oracle, the norms of the
-    assembled operators are cross-checked against it.
+    One float ``epsilon`` gives one certificate, a sequence a list of them;
+    the node operators, C0, C1 and T(t) are computed once per call.  The
+    slanted part is measured in the p -> p norm, the vertical part in the
+    p -> 2 norm.  On spaces small enough for the dense oracle, the norms of
+    the assembled operators are cross-checked against it.
     """
     if not (1.0 < p < 2.0):
         raise DomainError(f"need 1 < p < 2, got {p}")
-    nr = restarts if node_restarts is None else node_restarts
 
-    def v0(A):
-        return opnorm_lower(A, p, p, restarts=nr, seed=seed).value
-
-    def v1(A):
-        return opnorm_lower(A, p, 2.0, restarts=nr, seed=seed).value
-
-    cert = _split_engine(semigroup, domain, hm, epsilon, v0, v1)
-    if nr != restarts:
-        # final operators get the full restart budget
-        norm_T0 = opnorm_lower(cert.T0, p, p, restarts=restarts, seed=seed).value
-        norm_T1 = opnorm_lower(cert.T1, p, 2.0, restarts=restarts, seed=seed).value
-        cert = replace(
-            cert,
-            norm_T0_pp=float(norm_T0),
-            norm_T1_p2=float(norm_T1),
-            bound_T0_ok=bool(norm_T0 <= cert.C0_measured * epsilon * (1.0 + PADDING)),
-            bound_T1_ok=bool(
-                norm_T1 <= cert.C1_measured * epsilon**cert.exponent * (1.0 + PADDING)
-            ),
+    def norms(r: int) -> tuple[Callable, Callable]:
+        return (
+            lambda A: opnorm_lower(A, p, p, restarts=r, seed=seed).value,
+            lambda A: opnorm_lower(A, p, 2.0, restarts=r, seed=seed).value,
         )
+
+    node_budget = restarts if node_restarts is None else node_restarts
+    certs = _split_engine(
+        semigroup, domain, hm, np.atleast_1d(epsilon), norms(node_budget), norms(restarts)
+    )
     if oracle_check and semigroup.space.size <= _ORACLE_LIMIT:
         # both routes certify lower bounds, so only an oracle value above the
         # ascent estimate signals a missed witness
-        for A, val, (pp, qq) in (
-            (cert.T0, cert.norm_T0_pp, (p, p)),
-            (cert.T1, cert.norm_T1_p2, (p, 2.0)),
-        ):
-            ref = opnorm_oracle(A, pp, qq, seed=seed)
-            if ref > val * (1 + 1e-3) + 1e-30:
-                raise ConvergenceError(
-                    f"dense oracle found {ref}, above the ascent estimate {val}"
-                )
-    return cert
+        for cert in certs:
+            for A, val, q in ((cert.T0, cert.norm_T0_pp, p), (cert.T1, cert.norm_T1_p2, 2.0)):
+                ref = opnorm_oracle(A, p, q, seed=seed)
+                if ref > val * (1 + 1e-3) + 1e-30:
+                    raise ConvergenceError(
+                        f"dense oracle found {ref}, above the ascent estimate {val}"
+                    )
+    return certs[0] if np.ndim(epsilon) == 0 else certs
 
 
 class ApproximantResult(NamedTuple):

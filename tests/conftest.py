@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -48,8 +49,23 @@ def level_residuals(default_domain, default_measure):
 
     def residuals(eps, n):
         levels = np.arange(n + 1)
-        psi = strip_damping(hm.theta, eps, hm._w_strip)
-        nodes = np.exp(-np.outer(levels, hm._z))
+        psi = strip_damping(hm.theta, eps, hm.w_strip)
+        nodes = np.exp(-np.outer(levels, hm.z))
         return np.abs(nodes @ (hm.weights * psi) - np.exp(-levels * default_domain.t))
 
     return residuals
+
+
+@pytest.fixture(scope="session")
+def assert_same_certificate():
+    """Field-for-field exact equality of two certificates, operator entries included."""
+
+    def check(a, b):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if f.name in ("T0", "T1"):
+                assert np.array_equal(x.entries, y.entries), f.name
+            else:
+                assert x == y, (f.name, x, y)
+
+    return check

@@ -99,7 +99,7 @@ def test_conformal_rejects_outside_points(default_domain):
 def test_measure_mass_and_mean_value(default_measure, default_domain):
     hm, V = default_measure, default_domain
     assert abs(hm.weights.sum() - 1.0) <= 1e-8
-    assert abs(hm.integrate(hm._z) - V.t) <= 1e-7
+    assert abs(hm.integrate(hm.z) - V.t) <= 1e-7
     for fn, expect in [
         (lambda z: 1.0, 1.0),
         (lambda z: z * z, V.t**2),
@@ -112,7 +112,7 @@ def test_measure_mass_and_mean_value(default_measure, default_domain):
 def test_measure_theta_and_parts(default_measure):
     hm = default_measure
     assert 0.0 < hm.theta < 1.0
-    v1_mass = hm.weights[hm._is_v1].sum()
+    v1_mass = hm.weights[hm.is_v1].sum()
     assert abs(v1_mass - hm.theta) <= 1e-8
     sa = hm.domain.s + hm.domain.a
     for bp in hm.nodes:
@@ -159,7 +159,7 @@ def test_pushforward_arc_positions(default_measure):
     zeta_sorted = hm._zeta[order]
     # harmonic measure of (-inf, x] from zeta_t, in circle order starting at vp
     mass = 0.5 + np.arctan((zeta_sorted - m.xt) / m.yt) / math.pi
-    w_sorted = np.asarray(hm._w_strip)[order]
+    w_sorted = np.asarray(hm.w_strip)[order]
     omega = strip_to_disk(hm.theta, w_sorted)
     ang = np.mod(np.angle(omega) - 2 * math.pi * hm.theta, 2 * math.pi) / (2 * math.pi)
     np.testing.assert_allclose(ang, mass, atol=1e-6)
@@ -194,11 +194,11 @@ def test_damping_on_domain(default_domain, default_measure):
     V, hm = default_domain, default_measure
     eps = 1e-2
     assert abs(triangle_damping(V, hm, eps, V.t) - 1.0) <= 1e-10
-    psi = strip_damping(hm.theta, eps, hm._w_strip)
-    on_v0 = np.abs(psi[~hm._is_v1])
+    psi = strip_damping(hm.theta, eps, hm.w_strip)
+    on_v0 = np.abs(psi[~hm.is_v1])
     assert np.abs(on_v0 - eps).max() <= 1e-7
     target = eps ** ((hm.theta - 1) / hm.theta)
-    on_v1 = np.abs(psi[hm._is_v1])
+    on_v1 = np.abs(psi[hm.is_v1])
     assert np.abs(on_v1 / target - 1).max() <= 1e-6
 
 

@@ -13,6 +13,7 @@ from semisplit import (
     opnorm_lower,
     split,
 )
+from semisplit.splitter import SplitCertificate
 from semisplit.errors import DomainError, ShapeError
 from semisplit.ideals import spectral_norm
 
@@ -156,3 +157,16 @@ def test_generic_split_scales_homogeneously(default_domain, default_measure, cub
     )
     assert cert_c.norm_T1_p2 == pytest.approx(abs(c) * cert.norm_T1_p2, rel=1e-12)
     assert cert_c.C1_measured == pytest.approx(abs(c) * cert.C1_measured, rel=1e-12)
+
+
+def test_generic_split_sequence_matches_per_eps(
+    default_domain, default_measure, cube3, assert_same_certificate
+):
+    hs = make_schatten_like("hilbert-schmidt")
+    eps_set = (1.0, 1e-2, 1e-4)
+    certs = generic_split(cube3, default_domain, default_measure, hs, spectral_norm, eps_set)
+    assert len(certs) == len(eps_set)
+    for eps, cert in zip(eps_set, certs):
+        one = generic_split(cube3, default_domain, default_measure, hs, spectral_norm, eps)
+        assert isinstance(one, SplitCertificate)
+        assert_same_certificate(cert, one)

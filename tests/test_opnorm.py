@@ -16,6 +16,7 @@ from semisplit import (
     opnorm_oracle,
 )
 from semisplit.errors import CostGuardError, DomainError, InvalidExponentError
+from semisplit.opnorm import _phase
 
 
 def test_identity_norm_on_uniform_space():
@@ -144,3 +145,21 @@ def test_hypercontractive_time_rejects_bad_p():
     for p in (1.0, 2.0, 2.5, 0.7):
         with pytest.raises(DomainError):
             hypercontractive_time(p, S)
+
+
+def test_phase_maps_zero_and_non_finite_entries_to_zero():
+    inf, nan = math.inf, math.nan
+    regular = np.array([3 - 4j, -2j, 1e-300 + 1e-300j, 0.7])
+    # finite quotients only (the one-pass route), then non-finite entries too
+    for bad in ([0j], [0j, inf, -inf, nan, complex(inf, 1.0), complex(1.0, nan)]):
+        Z = np.concatenate([regular, np.array(bad, dtype=complex)])
+        ph = _phase(Z)
+        assert np.array_equal(ph[regular.size:], np.zeros(len(bad), dtype=complex))
+        assert np.array_equal(ph[: regular.size], regular / np.abs(regular))
+
+
+def test_phase_maps_subnormal_entries_to_zero():
+    # complex division by a subnormal modulus overflows to inf/nan; such
+    # entries get the non-finite rule, not an infinite phase
+    Z = np.array([7.9e-323 + 0j, -2.9565e-319 + 3.67502e-318j, 1 + 1j])
+    assert np.array_equal(_phase(Z), np.array([0, 0, (1 + 1j) / abs(1 + 1j)]))

@@ -46,9 +46,10 @@ def test_split_reconstruction_scales_with_scalar_error(
     # floor is the cancellation error of double precision at the damping's
     # magnitude scale
     n = cube3.n
-    for eps in (1.0, 1e-1, 1e-2):
+    eps_set = (1.0, 1e-1, 1e-2)
+    certs = split(cube3, default_domain, default_measure, P, eps_set, seed=0)
+    for eps, cert in zip(eps_set, certs):
         r = level_residuals(eps, n)
-        cert = split(cube3, default_domain, default_measure, P, eps, seed=0)
         floor = 1e-13 * eps ** cert.exponent
         upper = sum(math.comb(n, k) * r[k] for k in range(n + 1))
         assert r.max() - floor <= cert.recon_error_pp <= upper + floor
@@ -120,8 +121,8 @@ def test_damping_power_relation_at_nodes(default_measure):
     hm = default_measure
     eps, eps2 = 1e-2, 1e-3
     r = math.log(eps) / math.log(eps2)
-    psi1 = strip_damping(hm.theta, eps, hm._w_strip)
-    log_psi2 = (hm.theta - hm._w_strip) / hm.theta * math.log(eps2)
+    psi1 = strip_damping(hm.theta, eps, hm.w_strip)
+    log_psi2 = (hm.theta - hm.w_strip) / hm.theta * math.log(eps2)
     np.testing.assert_allclose(psi1, np.exp(r * log_psi2), atol=1e-10)
 
 
@@ -153,13 +154,12 @@ def test_split_on_irregular_geometry():
     V = TriangleDomain(s, 0.2 * s, 1.3 * sa, 0.85 * sa)
     hm = harmonic_measure(V, 64)
     S = CubeNoiseSemigroup(2)
-    for eps in (1e-1, 1e-2):
-        cert = split(S, V, hm, P, eps, seed=0, oracle_check=False)
+    for cert in split(S, V, hm, P, (1e-1, 1e-2), seed=0, oracle_check=False):
         assert cert.recon_error_pp <= 1e-6
         assert cert.bound_T0_ok and cert.bound_T1_ok
 
 
-def test_split_diagonal_semigroup(default_domain, default_measure):
+def _diagonal_semigroup():
     from semisplit import DiagonalMultiplierSemigroup, FiniteProbabilitySpace, OperatorMatrix
 
     rng = np.random.default_rng(3)
@@ -168,11 +168,71 @@ def test_split_diagonal_semigroup(default_domain, default_measure):
     basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
     spectrum = np.sort(rng.uniform(0.0, 4.0, d))
     spectrum[0] = 0.0
-    S = DiagonalMultiplierSemigroup(OperatorMatrix.on(sp, basis), spectrum)
-    for eps in (1.0, 1e-2):
-        cert = split(S, default_domain, default_measure, P, eps, seed=0, oracle_check=True)
+    return DiagonalMultiplierSemigroup(OperatorMatrix.on(sp, basis), spectrum)
+
+
+def test_split_diagonal_semigroup(default_domain, default_measure):
+    S = _diagonal_semigroup()
+    for cert in split(S, default_domain, default_measure, P, (1.0, 1e-2), seed=0,
+                      oracle_check=True):
         assert cert.recon_error_pp <= 1e-6
         assert cert.bound_T0_ok and cert.bound_T1_ok
+
+
+def test_split_sequence_matches_per_eps_cube(
+    default_domain, default_measure, cube3, assert_same_certificate
+):
+    # node and final budgets differ, so C0/C1 and recon use 8 restarts, T0/T1 use 16
+    eps_set = (1.0, 1e-2, 1e-4)
+    kw = dict(restarts=16, node_restarts=8, seed=0, oracle_check=False)
+    certs = split(cube3, default_domain, default_measure, P, eps_set, **kw)
+    assert len(certs) == len(eps_set)
+    for eps, cert in zip(eps_set, certs):
+        assert_same_certificate(cert, split(cube3, default_domain, default_measure, P, eps, **kw))
+
+
+def test_split_sequence_matches_per_eps_diagonal(
+    default_domain, default_measure, assert_same_certificate
+):
+    S = _diagonal_semigroup()
+    eps_set = (1.0, 1e-2)
+    certs = split(S, default_domain, default_measure, P, eps_set, seed=0, oracle_check=False)
+    for eps, cert in zip(eps_set, certs):
+        assert_same_certificate(
+            cert, split(S, default_domain, default_measure, P, eps, seed=0, oracle_check=False)
+        )
+
+
+def _count_ascents(monkeypatch):
+    import semisplit.splitter
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return opnorm_lower(*args, **kwargs)
+
+    monkeypatch.setattr(semisplit.splitter, "opnorm_lower", counting)
+    return calls
+
+
+def test_split_sweep_runs_node_norms_once(monkeypatch, default_domain, default_measure):
+    calls = _count_ascents(monkeypatch)
+    eps_set = (1e-1, 1e-2, 1e-3, 1e-4)
+    S = CubeNoiseSemigroup(1)
+    split(S, default_domain, default_measure, P, eps_set, node_restarts=4, seed=0)
+    # one ascent per node, then T0, T1 and the reconstruction residual per eps
+    assert len(calls) == default_measure.z.size + 3 * len(eps_set)
+
+
+def test_split_validates_every_eps_before_any_ascent(
+    monkeypatch, default_domain, default_measure, cube3
+):
+    calls = _count_ascents(monkeypatch)
+    for eps_set in ((1e-1, 0.0), (1.5, 1e-2), (1e-2, 1e-3, float("nan"))):
+        with pytest.raises(DomainError):
+            split(cube3, default_domain, default_measure, P, eps_set)
+    assert calls == []
 
 
 def test_dimension_sweep_theta_constant():
