@@ -89,10 +89,18 @@ def generic_split(
 
     Identical nodes, reductions and ``epsilon`` forms as :func:`semisplit.split`;
     the certificate fields norm_T1_p2 / C1_measured carry gamma values and
-    norm_T0_pp / C0_measured / recon_error_pp carry op_norm values.
+    norm_T0_pp / C0_measured / recon_error_pp carry op_norm values.  Ideal
+    norms need not multiply over tensor factors, so each node norm is taken
+    on the full node operator T(z).
     """
     norms = (op_norm, gamma.gamma)
-    certs = _split_engine(semigroup, domain, hm, np.atleast_1d(epsilon), norms, norms)
+    node_norms = (
+        lambda z: op_norm(semigroup.evaluate(z)),
+        lambda z: gamma.gamma(semigroup.evaluate(z)),
+    )
+    certs = _split_engine(
+        semigroup, domain, hm, np.atleast_1d(epsilon), node_norms, op_norm, norms
+    )
     return certs[0] if np.ndim(epsilon) == 0 else certs
 
 

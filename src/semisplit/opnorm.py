@@ -38,8 +38,11 @@ class NormEstimate:
     restarts_used: int
 
 
-def _colnorms(F: np.ndarray, p: float, w: np.ndarray) -> np.ndarray:
-    return (w @ np.abs(F) ** p) ** (1.0 / p)
+def _colnorms(
+    F: np.ndarray, p: float, w: np.ndarray, absF: np.ndarray | None = None
+) -> np.ndarray:
+    # np.abs(F) inline stays an unnamed temporary, which numpy reuses for the power
+    return (w @ (np.abs(F) if absF is None else absF) ** p) ** (1.0 / p)
 
 
 def _phase(Z: np.ndarray, absz: np.ndarray | None = None) -> np.ndarray:
@@ -131,8 +134,8 @@ def opnorm_lower(
 
     pconj = math.inf if p == 1.0 else p / (p - 1.0)
 
-    def ratios_of(F):
-        fp = _colnorms(F, p, win)
+    def ratios_of(F, absF=None):
+        fp = _colnorms(F, p, win, absF)
         G = M @ F
         gq = _colnorms(G, q, wout)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -165,10 +168,13 @@ def opnorm_lower(
             F[:, dead] = 1.0
             norms = _colnorms(F, p, win)
         F = F / norms[None, :]
+        absF = np.abs(F)
         # components decaying double-exponentially toward an indicator limit
         # reach denormal range within a few iterations; flush them
-        F[np.abs(F) < 1e-250] = 0.0
-        r, G, fp = ratios_of(F)
+        tiny = absF < 1e-250
+        F[tiny] = 0.0
+        absF[tiny] = 0.0
+        r, G, fp = ratios_of(F, absF)
         new_best = float(r.max())
         if new_best > best_val + tol * max(1.0, best_val):
             best_val = new_best

@@ -5,6 +5,11 @@ the Walsh basis, multiplier exp(-z|S|) on the character indexed by the subset
 S), and general diagonal-multiplier semigroups given by an explicit eigenbasis.
 Subsets S are enumerated by a binary counter: bit i of the index means i in S,
 so |S| is the popcount and the fast transform is index-stable.
+
+Both classes share one spectral interface: ``spectrum`` (the eigenvalues
+lambda), ``operator(m)`` = B diag(m) B^-1 for a multiplier vector m, and
+``evaluate(z)`` = ``operator(exp(-z * spectrum))``.  Each also declares its
+tensor structure: the semigroup is ``power`` tensor copies of ``factor``.
 """
 
 from __future__ import annotations
@@ -37,9 +42,7 @@ class ComplexTime:
     z: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        if self.z.real < -_RE_TOL:
-            raise DomainError(f"semigroup time must have Re(z) >= 0, got {self.z}")
+        object.__setattr__(self, "z", _as_time(self.z))
 
 
 def _as_time(z) -> complex:
@@ -90,22 +93,30 @@ def subset_sizes(n: int) -> np.ndarray:
 
 
 class CubeNoiseSemigroup:
-    """Noise semigroup on the uniform space of 2**n sign patterns."""
+    """Noise semigroup on the uniform space of 2**n sign patterns.
+
+    The n-bit semigroup is the n-fold tensor power of the one-bit one:
+    ``factor`` is ``CubeNoiseSemigroup(1)`` and ``power`` is n.
+    """
 
     def __init__(self, n: int):
         if n < 1:
             raise DomainError("need at least one variable")
         self.n = int(n)
         self.space = FiniteProbabilitySpace.uniform(2**self.n)
-        self._sizes = subset_sizes(self.n)
+        self.spectrum = subset_sizes(self.n)
         self._had = hadamard(2**self.n).astype(float)
+        self.factor = self if self.n == 1 else CubeNoiseSemigroup(1)
+        self.power = self.n
+
+    def operator(self, multiplier) -> OperatorMatrix:
+        """The operator acting on the Walsh character of S by multiplier[S]."""
+        # the Walsh basis H is its own inverse up to 1/2^n
+        entries = (self._had * multiplier) @ self._had / self.space.size
+        return OperatorMatrix.on(self.space, entries)
 
     def evaluate(self, z) -> OperatorMatrix:
-        zc = _as_time(z)
-        mult = np.exp(-zc * self._sizes)
-        # conjugate diag(mult) by the Walsh-Hadamard transform
-        entries = (self._had * mult) @ self._had / self.space.size
-        return OperatorMatrix.on(self.space, entries)
+        return self.operator(np.exp(-_as_time(z) * self.spectrum))
 
     def __repr__(self):
         return f"CubeNoiseSemigroup(n={self.n})"
@@ -141,11 +152,17 @@ class DiagonalMultiplierSemigroup:
         if not np.isfinite(self.condition_number):
             raise DomainError("eigenbasis is singular")
         self._basis_inv = np.linalg.inv(basis)
+        # no tensor structure is known: the semigroup is its own single factor
+        self.factor = self
+        self.power = 1
+
+    def operator(self, multiplier) -> OperatorMatrix:
+        """The operator acting on eigenvector k by multiplier[k]."""
+        entries = (self._basis * multiplier) @ self._basis_inv
+        return OperatorMatrix.on(self.space, entries)
 
     def evaluate(self, z) -> OperatorMatrix:
-        zc = _as_time(z)
-        entries = (self._basis * np.exp(-zc * self.spectrum)) @ self._basis_inv
-        return OperatorMatrix.on(self.space, entries)
+        return self.operator(np.exp(-_as_time(z) * self.spectrum))
 
     def __repr__(self):
         return (

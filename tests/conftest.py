@@ -3,8 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from semisplit import CubeNoiseSemigroup, TriangleDomain, harmonic_measure, strip_damping
+
+# property tests draw the same examples on every run and keep no example database
+settings.register_profile("semisplit", derandomize=True, deadline=None, database=None)
+settings.load_profile("semisplit")
 
 ACCEPTANCE_LINES: list[str] = []
 

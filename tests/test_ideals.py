@@ -145,6 +145,11 @@ def test_generic_split_scales_homogeneously(default_domain, default_measure, cub
     class Scaled:
         def __init__(self, base, c):
             self.base, self.c, self.space = base, c, base.space
+            self.spectrum = base.spectrum
+
+        def operator(self, multiplier):
+            M = self.base.operator(multiplier)
+            return OperatorMatrix.on(self.space, self.c * M.entries)
 
         def evaluate(self, z):
             M = self.base.evaluate(z)

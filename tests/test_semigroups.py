@@ -134,3 +134,27 @@ def test_evaluate_is_analytic_in_z():
     assert errs[0] <= 1e-4
     ratio = errs[0] / errs[1]
     assert 50 <= ratio <= 200  # central differences are second order
+
+
+def test_evaluate_is_operator_of_exponential_spectrum():
+    # evaluate(z) is operator(exp(-z * spectrum)) to the last bit
+    semigroups = [CubeNoiseSemigroup(n) for n in (1, 2, 3, 4)] + [_random_diagonal_semigroup(3)]
+    for S in semigroups:
+        for z in (0.0, 0.35, 0.2 - 1.3j, 2.0 + 0.5j):
+            expected = S.operator(np.exp(-z * S.spectrum)).entries
+            assert np.array_equal(S.evaluate(z).entries, expected)
+
+
+def test_cube_is_tensor_power_of_one_bit_factor():
+    for n in (1, 2, 3, 4):
+        S = CubeNoiseSemigroup(n)
+        assert S.power == n
+        assert S.factor.n == 1 and S.factor.power == 1
+        for z in (0.35, 0.2 - 1.3j):
+            one_bit = S.factor.evaluate(z).entries
+            kron = one_bit
+            for _ in range(n - 1):
+                kron = np.kron(kron, one_bit)
+            np.testing.assert_allclose(S.evaluate(z).entries, kron, rtol=0, atol=1e-15)
+    D = _random_diagonal_semigroup(3)
+    assert D.factor is D and D.power == 1

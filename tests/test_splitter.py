@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semisplit import (
     CubeNoiseSemigroup,
+    FiniteProbabilitySpace,
+    OperatorMatrix,
     TriangleDomain,
     approximant,
     certificate_text,
     dimension_sweep,
     harmonic_measure,
     opnorm_lower,
+    opnorm_oracle,
     split,
     strip_damping,
 )
@@ -208,9 +213,9 @@ def _count_ascents(monkeypatch):
 
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return opnorm_lower(*args, **kwargs)
+    def counting(A, *args, **kwargs):
+        calls.append(A.entries.shape)
+        return opnorm_lower(A, *args, **kwargs)
 
     monkeypatch.setattr(semisplit.splitter, "opnorm_lower", counting)
     return calls
@@ -233,6 +238,85 @@ def test_split_validates_every_eps_before_any_ascent(
         with pytest.raises(DomainError):
             split(cube3, default_domain, default_measure, P, eps_set)
     assert calls == []
+
+
+def test_split_node_ascents_run_on_one_bit_factor(
+    monkeypatch, default_domain, default_measure, cube3
+):
+    calls = _count_ascents(monkeypatch)
+    eps_set = (1e-1, 1e-2)
+    split(cube3, default_domain, default_measure, P, eps_set, restarts=4, seed=0,
+          oracle_check=False)
+    nodes = default_measure.z.size
+    assert calls[:nodes] == [(2, 2)] * nodes
+    assert calls[nodes:] == [(8, 8)] * (3 * len(eps_set))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: CubeNoiseSemigroup(3), _diagonal_semigroup], ids=["cube3", "diagonal"]
+)
+def test_spectral_assembly_matches_dense_node_sum(default_domain, default_measure, make):
+    S = make()
+    hm = default_measure
+    eps_set = (1.0, 1e-2, 1e-4)
+    certs = split(S, default_domain, hm, P, eps_set, restarts=4, seed=0, oracle_check=False)
+    nodes = [S.evaluate(complex(z)).entries for z in hm.z]
+    for eps, cert in zip(eps_set, certs):
+        coeff = hm.weights * strip_damping(hm.theta, eps, hm.w_strip)
+        T0 = sum(c / (1 - hm.theta) * M for c, M, v1 in zip(coeff, nodes, hm.is_v1) if not v1)
+        T1 = sum(c / hm.theta * M for c, M, v1 in zip(coeff, nodes, hm.is_v1) if v1)
+        assert np.abs(cert.T0.entries - T0).max() <= 1e-13
+        assert np.abs(cert.T1.entries - T1).max() <= 1e-13
+
+
+def _complex_2x2():
+    part = st.floats(-1.0, 1.0)
+    return st.lists(st.tuples(part, part), min_size=4, max_size=4).map(
+        lambda xs: np.array([complex(a, b) for a, b in xs]).reshape(2, 2)
+    )
+
+
+@settings(max_examples=15)
+@given(A=_complex_2x2(), B=_complex_2x2(), q=st.sampled_from((P, 2.0)))
+def test_tensor_product_norm_is_product_of_norms(A, B, q):
+    # for p <= q the p -> q norm multiplies over tensor factors (Beckner)
+    one, two = FiniteProbabilitySpace.uniform(2), FiniteProbabilitySpace.uniform(4)
+    lam = (
+        opnorm_lower(OperatorMatrix.on(one, A), P, q, seed=0).value
+        * opnorm_lower(OperatorMatrix.on(one, B), P, q, seed=0).value
+    )
+    AB = OperatorMatrix.on(two, np.kron(A, B))
+    assert opnorm_oracle(AB, P, q, seed=0) <= lam * (1 + 1e-3)
+    assert opnorm_lower(AB, P, q, seed=0).value >= lam * (1 - 1e-3)
+
+
+def test_cube_node_norms_are_powers_of_one_bit_norms(default_measure):
+    # each node in the norm that split measures it in: p -> p slanted, p -> 2 vertical
+    hm = default_measure
+    one_bit = CubeNoiseSemigroup(1)
+    for z, on_v1 in zip(hm.z[::8], hm.is_v1[::8]):
+        q = 2.0 if on_v1 else P
+        lam = opnorm_lower(one_bit.evaluate(complex(z)), P, q, seed=0).value
+        for n in (2, 3, 4):
+            dense = opnorm_lower(CubeNoiseSemigroup(n).evaluate(complex(z)), P, q, seed=0)
+            assert lam**n * (1 - 1e-9) <= dense.value <= lam**n * (1 + 1e-12)
+
+
+def test_split_node_constants_match_dense_node_norms():
+    # below the hypercontractive time the vertical node norms exceed 1 and grow
+    # with n, so C1 depends on raising the one-bit norm to the n-th power
+    V = TriangleDomain.with_defaults(0.7 * -0.5 * math.log(P - 1.0))
+    hm = harmonic_measure(V, 32)
+    S = CubeNoiseSemigroup(3)
+    cert = split(S, V, hm, P, 1e-2, restarts=8, seed=0, oracle_check=False)
+    dense = [
+        max(opnorm_lower(S.evaluate(complex(z)), P, q, restarts=8, seed=0).value
+            for z in hm.z[hm.is_v1 == on_v1])
+        for q, on_v1 in ((P, False), (2.0, True))
+    ]
+    assert cert.C1_measured > 1.01
+    assert cert.C0_measured == pytest.approx(dense[0], rel=1e-9)
+    assert cert.C1_measured == pytest.approx(dense[1], rel=1e-9)
 
 
 def test_dimension_sweep_theta_constant():
