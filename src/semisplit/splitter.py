@@ -21,7 +21,7 @@ from .errors import (
     IllConditionedSplitError,
 )
 from .geometry import HarmonicMeasure, TriangleDomain, harmonic_measure, strip_damping
-from .opnorm import DEFAULT_RESTARTS, opnorm_lower, opnorm_oracle
+from .opnorm import DEFAULT_RESTARTS, ORACLE_DIM_LIMIT, opnorm_lower, opnorm_oracle
 from .semigroups import CubeNoiseSemigroup
 from .spaces import OperatorMatrix
 
@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 PADDING = 1e-3
-_ORACLE_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,7 @@ def split(
         node_pp,
         norms(restarts),
     )
-    if oracle_check and semigroup.space.size <= _ORACLE_LIMIT:
+    if oracle_check and semigroup.space.size <= ORACLE_DIM_LIMIT:
         # both routes certify lower bounds, so only an oracle value above the
         # ascent estimate signals a missed witness
         for cert in certs:

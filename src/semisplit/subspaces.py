@@ -71,15 +71,18 @@ def _ratio_extremum(T: OperatorMatrix, X: Subspace, p: float, maximize: bool,
     w_out = T.codomain.weights
     k = X.dim
     sign = -1.0 if maximize else 1.0
+    inv_p = 1 / p
 
+    # Nelder-Mead calls this tens of thousands of times; np.add.reduce sums in
+    # the same order as np.sum without its Python-level wrapper
     def ratio(x):
         c = x[:k] + 1j * x[k:]
         f = B @ c
         g = TB @ c
-        den = float(np.sum(w_in * np.abs(f) ** p) ** (1 / p))
+        den = float(np.add.reduce(w_in * np.abs(f) ** p) ** inv_p)
         if den < 1e-14:
             return 0.0 if maximize else np.inf
-        num = float(np.sum(w_out * np.abs(g) ** p) ** (1 / p))
+        num = float(np.add.reduce(w_out * np.abs(g) ** p) ** inv_p)
         return num / den
 
     rng = np.random.default_rng(seed)

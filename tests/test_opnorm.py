@@ -16,7 +16,7 @@ from semisplit import (
     opnorm_oracle,
 )
 from semisplit.errors import CostGuardError, DomainError, InvalidExponentError
-from semisplit.opnorm import _phase
+from semisplit.opnorm import _ORACLE_RANDOM_DIRECTIONS, _colnorms, _fibonacci_sphere, _phase
 
 
 def test_identity_norm_on_uniform_space():
@@ -121,6 +121,86 @@ def test_oracle_agrees_with_ascent_on_random_3x3():
         lo = opnorm_lower(A, 1.5, 2.0, seed=k).value
         orc = opnorm_oracle(A, 1.5, 2.0, seed=100 + k)
         assert abs(lo - orc) / max(lo, orc) <= 1e-3
+
+
+def _oracle_one_candidate_at_a_time(A, p, q, seed=0):
+    """The dense oracle with its polish walking one candidate at a time.
+
+    Reference for the batched polish in `opnorm_oracle`: same scan, same
+    candidates, same noise in the same order.
+    """
+    d = A.domain.size
+    M = A.entries
+    win = A.domain.weights
+    wout = A.codomain.weights
+    rng = np.random.default_rng(seed)
+
+    blocks = []
+    if np.isrealobj(M) or not np.any(M.imag):
+        if d == 1:
+            blocks.append(np.ones((1, 1)))
+        elif d == 2:
+            ang = np.linspace(0, 2 * math.pi, 20_000, endpoint=False)
+            blocks.append(np.stack([np.cos(ang), np.sin(ang)]))
+        elif d == 3:
+            blocks.append(_fibonacci_sphere(40_000))
+    half = _ORACLE_RANDOM_DIRECTIONS // 2
+    blocks.append(rng.standard_normal((d, half)))
+    blocks.append(rng.standard_normal((d, half)) + 1j * rng.standard_normal((d, half)))
+    F = np.concatenate([b.astype(complex) for b in blocks], axis=1)
+    F = F / _colnorms(F, p, win)[None, :]
+
+    def ratio(Fc):
+        return _colnorms(M @ Fc, q, wout) / _colnorms(Fc, p, win)
+
+    r = ratio(F)
+    order = np.argsort(r)[::-1]
+    candidates = F[:, order[:30]].copy()
+    best = float(r.max())
+    best_f = F[:, order[0]].copy()
+    for j in range(candidates.shape[1]):
+        f = candidates[:, j].copy()
+        val = float(ratio(f[:, None])[0])
+        for sigma in (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6):
+            for _ in range(4):
+                trials = f[:, None] + sigma * (
+                    rng.standard_normal((d, 24)) + 1j * rng.standard_normal((d, 24))
+                )
+                rt = ratio(trials)
+                k = int(np.argmax(rt))
+                if rt[k] > val:
+                    val = float(rt[k])
+                    f = trials[:, k] / _colnorms(trials[:, k : k + 1], p, win)[0]
+        if val > best:
+            best = val
+            best_f = f
+    fr = best_f / _colnorms(best_f[:, None], p, win)[0]
+    return float(ratio(fr[:, None])[0])
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_batched_oracle_polish_matches_one_candidate_walk(d):
+    rng = np.random.default_rng(40 + d)
+    spaces = (FiniteProbabilitySpace.uniform(d), FiniteProbabilitySpace(rng.dirichlet(np.ones(d))))
+    for sp in spaces:
+        for complex_entries in (False, True):
+            M = rng.standard_normal((d, d))
+            if complex_entries:
+                M = M + 1j * rng.standard_normal((d, d))
+            A = OperatorMatrix.on(sp, M)
+            for seed, (p, q) in enumerate(((1.5, 1.5), (1.5, 2.0), (2.0, 2.0), (1.2, 3.0))):
+                ref = _oracle_one_candidate_at_a_time(A, p, q, seed=seed)
+                assert opnorm_oracle(A, p, q, seed=seed) == pytest.approx(ref, rel=1e-12)
+
+
+def test_oracle_one_atom_is_exact():
+    sp = FiniteProbabilitySpace.uniform(1)
+    w = sp.weights[0]
+    for m in (-0.7, 2.5 - 1.5j):
+        A = OperatorMatrix.on(sp, np.array([[m]]))
+        for p, q in ((1.5, 1.5), (1.2, 3.0)):
+            expected = abs(m) * w ** (1 / q) / w ** (1 / p)
+            assert opnorm_oracle(A, p, q, seed=0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_invalid_exponents():
