@@ -76,7 +76,6 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "."
     restarts: int = 32
-    node_restarts: int | None = None
     n_range: list[int] = field(default_factory=lambda: list(range(2, 9)))
     walkers: int = 20_000
     subspace: str = "first-level"
@@ -116,8 +115,6 @@ def _parse_scalar(key: str, raw: str):
         return float(raw)
     if key in ("n", "nodes_per_edge", "seed", "restarts", "walkers", "subspace_dim"):
         return int(raw)
-    if key == "node_restarts":
-        return None if raw in ("auto", "none") else int(raw)
     if key == "epsilons":
         return [float(x) for x in raw.split(",") if x.strip()]
     if key == "n_range":
@@ -151,7 +148,11 @@ def load_config(path: str | None, overrides: list[str], out: str | None) -> Expe
     for k, v in pairs:
         if not hasattr(cfg, k):
             raise UsageError(f"unknown config key: {k}")
-        setattr(cfg, k, _parse_scalar(k, v))
+        try:
+            value = _parse_scalar(k, v)
+        except ValueError as exc:
+            raise UsageError(f"malformed value for {k}: {v.strip()!r} ({exc})") from exc
+        setattr(cfg, k, value)
     if out is not None:
         cfg.output_dir = out
     cfg.validate()
@@ -187,8 +188,7 @@ def run_split(cfg: ExperimentConfig) -> int:
     all_ok = True
     certs = split(
         semigroup, domain, hm, cfg.p, cfg.epsilons,
-        restarts=cfg.restarts, node_restarts=cfg.node_restarts,
-        seed=cfg.seed, oracle_check=False,
+        restarts=cfg.restarts, seed=cfg.seed, oracle_check=False,
     )
     for eps, cert in zip(cfg.epsilons, certs):
         log_eps.append(math.log(eps))
@@ -214,13 +214,10 @@ def run_dimsweep(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     eps = cfg.epsilons[0]
+    domain = cfg.resolved_geometry()
     rows = dimension_sweep(
-        cfg.p, eps, cfg.n_range,
-        s=cfg.s, a=cfg.a, b=cfg.b, t=cfg.t,
-        nodes_per_edge=cfg.nodes_per_edge,
-        restarts=cfg.restarts,
-        node_restarts=cfg.node_restarts if cfg.node_restarts is not None else 8,
-        seed=cfg.seed,
+        domain, harmonic_measure(domain, cfg.nodes_per_edge), cfg.p, eps, cfg.n_range,
+        restarts=cfg.restarts, seed=cfg.seed,
     )
     lines = ["n,theta,C0,C1,norm_T0_pp,norm_T1_p2"]
     for r in rows:

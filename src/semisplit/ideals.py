@@ -93,13 +93,9 @@ def generic_split(
     norms need not multiply over tensor factors, so each node norm is taken
     on the full node operator T(z).
     """
-    norms = (op_norm, gamma.gamma)
-    node_norms = (
-        lambda z: op_norm(semigroup.evaluate(z)),
-        lambda z: gamma.gamma(semigroup.evaluate(z)),
-    )
     certs = _split_engine(
-        semigroup, domain, hm, np.atleast_1d(epsilon), node_norms, op_norm, norms
+        semigroup, domain, hm, np.atleast_1d(epsilon),
+        (op_norm, gamma.gamma), semigroup.evaluate, 1,
     )
     return certs[0] if np.ndim(epsilon) == 0 else certs
 

@@ -27,6 +27,8 @@ __all__ = [
 DEFAULT_RESTARTS = 32
 ORACLE_DIM_LIMIT = 6
 _ORACLE_RANDOM_DIRECTIONS = 100_000
+_ASCENT_MAX_ITER = 500
+_ASCENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,6 @@ class NormEstimate:
 
     value: float
     witness: FunctionVector
-    method: str
-    restarts_used: int
 
 
 def _colnorms(
@@ -75,8 +75,6 @@ def opnorm_lower(
     q: float,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-    max_iter: int = 500,
-    tol: float = 1e-12,
 ) -> NormEstimate:
     """Best ratio ||Af||_q / ||f||_p found by multistart alternating dual ascent.
 
@@ -96,7 +94,7 @@ def opnorm_lower(
 
     if not np.any(M):
         witness = FunctionVector(np.ones(d), A.domain)
-        return NormEstimate(0.0, witness, "multistart-ascent", restarts)
+        return NormEstimate(0.0, witness)
 
     # all atom indicators, scored in one vectorized pass
     ind_ratios = _colnorms(M, q, wout) / win ** (1.0 / p)
@@ -153,7 +151,7 @@ def opnorm_lower(
         witness_vec = F[:, int(np.argmax(r))].copy()
 
     stall = 0
-    for _ in range(max_iter):
+    for _ in range(_ASCENT_MAX_ITER):
         U = _dual_image(G, q - 1.0)
         H = (M.conj().T @ (wout[:, None] * U)) / win[:, None]
         if pconj == math.inf:
@@ -177,7 +175,7 @@ def opnorm_lower(
         absF[tiny] = 0.0
         r, G, fp = ratios_of(F, absF)
         new_best = float(r.max())
-        if new_best > best_val + tol * max(1.0, best_val):
+        if new_best > best_val + _ASCENT_TOL * max(1.0, best_val):
             best_val = new_best
             witness_vec = F[:, int(np.argmax(r))].copy()
             stall = 0
@@ -188,7 +186,7 @@ def opnorm_lower(
 
     witness = FunctionVector(witness_vec, A.domain)
     value = lp_norm(apply(A, witness), q) / lp_norm(witness, p)
-    return NormEstimate(float(value), witness, "multistart-ascent", restarts)
+    return NormEstimate(float(value), witness)
 
 
 def _fibonacci_sphere(n_points: int) -> np.ndarray:

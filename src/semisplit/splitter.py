@@ -20,7 +20,7 @@ from .errors import (
     DomainError,
     IllConditionedSplitError,
 )
-from .geometry import HarmonicMeasure, TriangleDomain, harmonic_measure, strip_damping
+from .geometry import HarmonicMeasure, TriangleDomain, strip_damping
 from .opnorm import DEFAULT_RESTARTS, ORACLE_DIM_LIMIT, opnorm_lower, opnorm_oracle
 from .semigroups import CubeNoiseSemigroup
 from .spaces import OperatorMatrix
@@ -62,15 +62,16 @@ def _split_engine(
     domain: TriangleDomain,
     hm: HarmonicMeasure,
     epsilons: Sequence[float],
-    node_norms: tuple[Callable, Callable],
-    recon_norm: Callable,
-    final_norms: tuple[Callable, Callable],
+    norms: tuple[Callable, Callable],
+    node_operator: Callable,
+    power: int,
 ) -> list[SplitCertificate]:
     """One certificate per eps.
 
-    The (slanted, vertical) ``node_norms`` map a boundary node z to the norm
-    of T(z) and give C0, C1; ``recon_norm`` measures the reconstruction
-    residual and ``final_norms`` the norms of T0 and T1.  T0 and T1 are
+    The (slanted, vertical) ``norms`` measure T0 and T1 respectively; C0 is
+    the largest ``norms[0](node_operator(z)) ** power`` over the slanted
+    nodes, C1 the same with ``norms[1]`` over the vertical nodes, and
+    ``norms[0]`` also measures the reconstruction residual.  T0 and T1 are
     assembled in the spectral domain: their multipliers are the damped
     quadrature sums of exp(-z_i * spectrum), so no node operator is formed.
     """
@@ -88,14 +89,13 @@ def _split_engine(
                 f"damping magnitude epsilon^((theta-1)/theta) with theta = {theta} and "
                 f"epsilon = {epsilon} exceeds double-precision range"
             )
-    node_v0, node_v1 = node_norms
-    v0_norm, v1_norm = final_norms
     c0 = c1 = 0.0
     for z, on_v1 in zip(hm.z, hm.is_v1):
+        A = node_operator(complex(z))
         if on_v1:
-            c1 = max(c1, node_v1(complex(z)))
+            c1 = max(c1, norms[1](A) ** power)
         else:
-            c0 = max(c0, node_v0(complex(z)))
+            c0 = max(c0, norms[0](A) ** power)
     Tt = semigroup.evaluate(domain.t).entries
     node_mults = np.exp(-np.outer(hm.z, semigroup.spectrum))
     slanted, vertical = ~hm.is_v1, hm.is_v1
@@ -105,9 +105,9 @@ def _split_engine(
         coeff = hm.weights * strip_damping(theta, epsilon, hm.w_strip)
         T0 = semigroup.operator((coeff[slanted] / (1.0 - theta)) @ node_mults[slanted])
         T1 = semigroup.operator((coeff[vertical] / theta) @ node_mults[vertical])
-        norm_T0 = v0_norm(T0)
-        norm_T1 = v1_norm(T1)
-        recon = recon_norm(
+        norm_T0 = norms[0](T0)
+        norm_T1 = norms[1](T1)
+        recon = norms[0](
             OperatorMatrix.on(
                 semigroup.space, Tt - ((1.0 - theta) * T0.entries + theta * T1.entries)
             )
@@ -136,7 +136,6 @@ def split(
     p: float,
     epsilon: float | Sequence[float],
     restarts: int = DEFAULT_RESTARTS,
-    node_restarts: int | None = None,
     seed: int = 0,
     oracle_check: bool = True,
 ) -> SplitCertificate | list[SplitCertificate]:
@@ -154,23 +153,14 @@ def split(
     """
     if not (1.0 < p < 2.0):
         raise DomainError(f"need 1 < p < 2, got {p}")
-
-    def norms(r: int) -> tuple[Callable, Callable]:
-        return (
-            lambda A: opnorm_lower(A, p, p, restarts=r, seed=seed).value,
-            lambda A: opnorm_lower(A, p, 2.0, restarts=r, seed=seed).value,
-        )
-
-    node_pp, node_p2 = norms(restarts if node_restarts is None else node_restarts)
-    factor, power = semigroup.factor, semigroup.power
     certs = _split_engine(
         semigroup, domain, hm, np.atleast_1d(epsilon),
         (
-            lambda z: node_pp(factor.evaluate(z)) ** power,
-            lambda z: node_p2(factor.evaluate(z)) ** power,
+            lambda A: opnorm_lower(A, p, p, restarts=restarts, seed=seed).value,
+            lambda A: opnorm_lower(A, p, 2.0, restarts=restarts, seed=seed).value,
         ),
-        node_pp,
-        norms(restarts),
+        semigroup.factor.evaluate,
+        semigroup.power,
     )
     if oracle_check and semigroup.space.size <= ORACLE_DIM_LIMIT:
         # both routes certify lower bounds, so only an oracle value above the
@@ -195,22 +185,17 @@ class ApproximantResult(NamedTuple):
 def approximant(
     semigroup,
     domain: TriangleDomain,
-    hm: HarmonicMeasure,
+    cert: SplitCertificate,
     p: float,
-    epsilon: float,
     restarts: int = DEFAULT_RESTARTS,
-    node_restarts: int | None = None,
     seed: int = 0,
 ) -> ApproximantResult:
-    """The near-approximant theta*T1 of T(t), with its distance and its p->2 norm.
+    """The near-approximant theta*T1 of T(t), read off a :func:`split` certificate.
 
+    ``cert`` is a certificate of ``semigroup`` on ``domain`` at exponent p.
     Returns (T', ||T(t) - T'||_{p->p}, ||T'||_{p->2}, ||T(t) - T1||_{p->p});
     the last entry records the gap to the unscaled vertical part as well.
     """
-    cert = split(
-        semigroup, domain, hm, p, epsilon,
-        restarts=restarts, node_restarts=node_restarts, seed=seed, oracle_check=False,
-    )
     space = semigroup.space
     theta = cert.theta
     Tt = semigroup.evaluate(domain.t).entries
@@ -223,7 +208,7 @@ def approximant(
     unscaled = opnorm_lower(
         OperatorMatrix.on(space, Tt - cert.T1.entries), p, p, restarts=restarts, seed=seed
     ).value
-    budget = (1.0 - theta) * cert.C0_measured * epsilon * (1.0 + PADDING)
+    budget = (1.0 - theta) * cert.C0_measured * cert.epsilon * (1.0 + PADDING)
     if approx_error > budget:
         raise ConvergenceError(
             f"approximation error {approx_error} exceeds its budget {budget}"
@@ -241,16 +226,12 @@ class SweepRow(NamedTuple):
 
 
 def dimension_sweep(
+    domain: TriangleDomain,
+    hm: HarmonicMeasure,
     p: float,
     epsilon: float,
     n_range,
-    s: float | None = None,
-    a: float | None = None,
-    b: float | None = None,
-    t: float | None = None,
-    nodes_per_edge: int = 64,
     restarts: int = DEFAULT_RESTARTS,
-    node_restarts: int | None = None,
     seed: int = 0,
 ) -> list[SweepRow]:
     """Run the same split across cube sizes with identical geometry.
@@ -263,16 +244,11 @@ def dimension_sweep(
         raise CostGuardError("cube size capped at n = 10 (matrix size 2^n)")
     if any(n < 1 for n in n_range):
         raise DomainError("cube size must be at least 1")
-    if s is None:
-        s = -0.5 * math.log(p - 1.0)
-    domain = TriangleDomain.with_defaults(s, a, b, t)
-    hm = harmonic_measure(domain, nodes_per_edge)
     rows = []
     for n in n_range:
-        semigroup = CubeNoiseSemigroup(n)
         cert = split(
-            semigroup, domain, hm, p, epsilon,
-            restarts=restarts, node_restarts=node_restarts, seed=seed, oracle_check=False,
+            CubeNoiseSemigroup(n), domain, hm, p, epsilon,
+            restarts=restarts, seed=seed, oracle_check=False,
         )
         rows.append(
             SweepRow(

@@ -220,10 +220,10 @@ def test_criterion_7_estimator_soundness(acceptance_log):
     )
 
 
-def test_criterion_8_dimension_stability(acceptance_log):
+def test_criterion_8_dimension_stability(acceptance_log, default_domain, default_measure):
     eps = 1e-2
-    rows = dimension_sweep(P, eps, range(2, 9), nodes_per_edge=64,
-                           restarts=16, node_restarts=8, seed=0)
+    rows = dimension_sweep(default_domain, default_measure, P, eps, range(2, 9),
+                           restarts=16, seed=0)
     thetas = [r.theta for r in rows]
     c1 = [r.C1_measured for r in rows]
     t0 = [r.norm_T0_pp / eps for r in rows]

@@ -69,6 +69,13 @@ def test_unknown_key_rejected(tmp_path):
     assert run_cli(["split", "--set", "frobnicate=1", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("override", ["n=abc", "epsilons=1e-2,x", "n_range=2..", "seed=1.5"])
+def test_malformed_value_exits_2_and_writes_nothing(tmp_path, override):
+    out = tmp_path / "x"
+    assert run_cli(["split", "--set", override, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_dimsweep(tmp_path):
     code = run_cli(["dimsweep", "--set", "n_range=1,2", "--set", "epsilons=1e-2",
                     "--set", "nodes_per_edge=32", "--out", str(tmp_path)])

@@ -133,8 +133,8 @@ def test_damping_power_relation_at_nodes(default_measure):
 
 def test_approximant_contract(default_domain, default_measure, cube3):
     for eps in (1.0, 1e-3):
-        res = approximant(cube3, default_domain, default_measure, P, eps, seed=0)
         cert = split(cube3, default_domain, default_measure, P, eps, seed=0)
+        res = approximant(cube3, default_domain, cert, P, seed=0)
         budget = (1 - cert.theta) * cert.C0_measured * eps * (1 + PADDING)
         assert res.approx_error <= budget
         assert res.gamma2_norm <= (
@@ -145,10 +145,9 @@ def test_approximant_contract(default_domain, default_measure, cube3):
 
 def test_approximant_error_decreases_with_eps(default_domain, default_measure):
     S = CubeNoiseSemigroup(2)
-    errs = [
-        approximant(S, default_domain, default_measure, P, eps, seed=0).approx_error
-        for eps in (1e-1, 1e-2, 1e-3)
-    ]
+    certs = split(S, default_domain, default_measure, P, (1e-1, 1e-2, 1e-3), seed=0,
+                  oracle_check=False)
+    errs = [approximant(S, default_domain, cert, P, seed=0).approx_error for cert in certs]
     assert errs[0] >= errs[1] >= errs[2] * (1 - 1e-6)
 
 
@@ -187,9 +186,9 @@ def test_split_diagonal_semigroup(default_domain, default_measure):
 def test_split_sequence_matches_per_eps_cube(
     default_domain, default_measure, cube3, assert_same_certificate
 ):
-    # node and final budgets differ, so C0/C1 and recon use 8 restarts, T0/T1 use 16
+    # a non-default budget, shared by the node, T0/T1 and residual ascents
     eps_set = (1.0, 1e-2, 1e-4)
-    kw = dict(restarts=16, node_restarts=8, seed=0, oracle_check=False)
+    kw = dict(restarts=16, seed=0, oracle_check=False)
     certs = split(cube3, default_domain, default_measure, P, eps_set, **kw)
     assert len(certs) == len(eps_set)
     for eps, cert in zip(eps_set, certs):
@@ -225,7 +224,7 @@ def test_split_sweep_runs_node_norms_once(monkeypatch, default_domain, default_m
     calls = _count_ascents(monkeypatch)
     eps_set = (1e-1, 1e-2, 1e-3, 1e-4)
     S = CubeNoiseSemigroup(1)
-    split(S, default_domain, default_measure, P, eps_set, node_restarts=4, seed=0)
+    split(S, default_domain, default_measure, P, eps_set, restarts=4, seed=0)
     # one ascent per node, then T0, T1 and the reconstruction residual per eps
     assert len(calls) == default_measure.z.size + 3 * len(eps_set)
 
@@ -319,16 +318,28 @@ def test_split_node_constants_match_dense_node_norms():
     assert cert.C1_measured == pytest.approx(dense[1], rel=1e-9)
 
 
-def test_dimension_sweep_theta_constant():
-    rows = dimension_sweep(P, 1e-2, [1, 2, 3], nodes_per_edge=48, restarts=12, seed=0)
+def test_dimension_sweep_theta_constant(default_domain):
+    hm = harmonic_measure(default_domain, 48)
+    rows = dimension_sweep(default_domain, hm, P, 1e-2, [1, 2, 3], restarts=12, seed=0)
     thetas = {r.theta for r in rows}
     assert max(thetas) - min(thetas) <= 1e-12
     assert [r.n for r in rows] == [1, 2, 3]
 
 
-def test_dimension_sweep_cost_guard():
+def test_dimension_sweep_rows_are_split_fields(default_domain):
+    hm = harmonic_measure(default_domain, 32)
+    rows = dimension_sweep(default_domain, hm, P, 1e-2, [1, 2, 3], restarts=8, seed=0)
+    assert [r.n for r in rows] == [1, 2, 3]
+    for row in rows:
+        cert = split(CubeNoiseSemigroup(row.n), default_domain, hm, P, 1e-2,
+                     restarts=8, seed=0, oracle_check=False)
+        assert row == (row.n, cert.theta, cert.C0_measured, cert.C1_measured,
+                       cert.norm_T0_pp, cert.norm_T1_p2)
+
+
+def test_dimension_sweep_cost_guard(default_domain, default_measure):
     with pytest.raises(CostGuardError):
-        dimension_sweep(P, 1e-2, [2, 12])
+        dimension_sweep(default_domain, default_measure, P, 1e-2, [2, 12])
 
 
 def test_certificate_text_round_trip(default_domain, default_measure, cube3):
