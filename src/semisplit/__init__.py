@@ -41,10 +41,12 @@ from .geometry import (
     triangle_damping,
 )
 from .splitter import (
+    NodeConstants,
     SplitCertificate,
     approximant,
     certificate_text,
     dimension_sweep,
+    node_constants,
     split,
 )
 from .ideals import IdealNorm, generic_split, make_gamma2, make_schatten_like, measure_compatibility
@@ -83,6 +85,8 @@ __all__ = [
     "brownian_exit_theta",
     "node_table",
     "SplitCertificate",
+    "NodeConstants",
+    "node_constants",
     "split",
     "approximant",
     "dimension_sweep",

@@ -104,6 +104,13 @@ class ExperimentConfig:
             raise UsageError(
                 f"invariant violated: nodes_per_edge >= 4 (got {self.nodes_per_edge})"
             )
+        if not self.n_range or min(self.n_range) < 1:
+            raise UsageError(
+                f"invariant violated: n_range is non-empty with every n >= 1 "
+                f"(got {self.n_range})"
+            )
+        if self.restarts < 0:
+            raise UsageError(f"invariant violated: restarts >= 0 (got {self.restarts})")
         self.resolved_geometry()
 
 

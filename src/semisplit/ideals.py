@@ -17,7 +17,7 @@ from .errors import DomainError, ShapeError
 from .geometry import HarmonicMeasure, TriangleDomain
 from .opnorm import DEFAULT_RESTARTS, opnorm_lower
 from .spaces import OperatorMatrix, compose
-from .splitter import SplitCertificate, _split_engine
+from .splitter import SplitCertificate, _split_engine, _validated_epsilons
 
 __all__ = [
     "IdealNorm",
@@ -93,9 +93,13 @@ def generic_split(
     norms need not multiply over tensor factors, so each node norm is taken
     on the full node operator T(z).
     """
+    epsilons = _validated_epsilons(hm, epsilon)
+    node_values = [
+        (gamma.gamma if on_v1 else op_norm)(semigroup.evaluate(complex(z)))
+        for z, on_v1 in zip(hm.z, hm.is_v1)
+    ]
     certs = _split_engine(
-        semigroup, domain, hm, np.atleast_1d(epsilon),
-        (op_norm, gamma.gamma), semigroup.evaluate, 1,
+        semigroup, domain, hm, epsilons, (op_norm, gamma.gamma), node_values, 1
     )
     return certs[0] if np.ndim(epsilon) == 0 else certs
 

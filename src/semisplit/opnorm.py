@@ -150,10 +150,11 @@ def opnorm_lower(
         best_val = float(r.max())
         witness_vec = F[:, int(np.argmax(r))].copy()
 
+    MH = M.conj().T
     stall = 0
     for _ in range(_ASCENT_MAX_ITER):
         U = _dual_image(G, q - 1.0)
-        H = (M.conj().T @ (wout[:, None] * U)) / win[:, None]
+        H = (MH @ (wout[:, None] * U)) / win[:, None]
         if pconj == math.inf:
             # dual of L_1: concentrate on the largest coordinate
             F = np.zeros_like(H)

@@ -96,7 +96,8 @@ class CubeNoiseSemigroup:
     """Noise semigroup on the uniform space of 2**n sign patterns.
 
     The n-bit semigroup is the n-fold tensor power of the one-bit one:
-    ``factor`` is ``CubeNoiseSemigroup(1)`` and ``power`` is n.
+    ``factor`` is ``CubeNoiseSemigroup(1)`` and ``power`` is n.  Two cubes
+    are equal when they have the same n, so every cube shares one factor.
     """
 
     def __init__(self, n: int):
@@ -117,6 +118,14 @@ class CubeNoiseSemigroup:
 
     def evaluate(self, z) -> OperatorMatrix:
         return self.operator(np.exp(-_as_time(z) * self.spectrum))
+
+    def __eq__(self, other):
+        if not isinstance(other, CubeNoiseSemigroup):
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash(self.n)
 
     def __repr__(self):
         return f"CubeNoiseSemigroup(n={self.n})"

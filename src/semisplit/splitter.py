@@ -21,12 +21,14 @@ from .errors import (
     IllConditionedSplitError,
 )
 from .geometry import HarmonicMeasure, TriangleDomain, strip_damping
-from .opnorm import DEFAULT_RESTARTS, ORACLE_DIM_LIMIT, opnorm_lower, opnorm_oracle
+from .opnorm import DEFAULT_RESTARTS, ORACLE_DIM_LIMIT, NormEstimate, opnorm_lower, opnorm_oracle
 from .semigroups import CubeNoiseSemigroup
 from .spaces import OperatorMatrix
 
 __all__ = [
     "SplitCertificate",
+    "NodeConstants",
+    "node_constants",
     "split",
     "approximant",
     "ApproximantResult",
@@ -41,7 +43,11 @@ PADDING = 1e-3
 
 @dataclass(frozen=True)
 class SplitCertificate:
-    """Record of one run of the construction and its certified inequalities."""
+    """Record of one run of the construction and its certified inequalities.
+
+    ``C0_node`` and ``C1_node`` are the indices in ``hm.z`` of the first
+    slanted and the first vertical node whose norm attains C0 and C1.
+    """
 
     epsilon: float
     theta: float
@@ -55,27 +61,72 @@ class SplitCertificate:
     exponent: float
     bound_T0_ok: bool
     bound_T1_ok: bool
+    C0_node: int
+    C1_node: int
 
 
-def _split_engine(
-    semigroup,
-    domain: TriangleDomain,
-    hm: HarmonicMeasure,
-    epsilons: Sequence[float],
-    norms: tuple[Callable, Callable],
-    node_operator: Callable,
-    power: int,
-) -> list[SplitCertificate]:
-    """One certificate per eps.
+def _check_p(p: float) -> None:
+    if not (1.0 < p < 2.0):
+        raise DomainError(f"need 1 < p < 2, got {p}")
 
-    The (slanted, vertical) ``norms`` measure T0 and T1 respectively; C0 is
-    the largest ``norms[0](node_operator(z)) ** power`` over the slanted
-    nodes, C1 the same with ``norms[1]`` over the vertical nodes, and
-    ``norms[0]`` also measures the reconstruction residual.  T0 and T1 are
-    assembled in the spectral domain: their multipliers are the damped
-    quadrature sums of exp(-z_i * spectrum), so no node operator is formed.
+
+@dataclass(frozen=True, eq=False)
+class NodeConstants:
+    """The one-bit norm of every node operator, measured once per geometry.
+
+    ``estimates[i]`` is the lower bound, with its witness, on the norm of
+    ``factor.evaluate(hm.z[i])``: p -> p on a slanted node, p -> 2 on a
+    vertical one.  They depend on (hm, factor, p, restarts, seed) only, so
+    one object serves every split that shares those, whatever the power of
+    the factor or the damping levels.
     """
-    epsilons = [float(e) for e in epsilons]
+
+    hm: HarmonicMeasure
+    factor: object
+    p: float
+    restarts: int
+    seed: int
+    estimates: tuple[NormEstimate, ...]
+
+    @property
+    def values(self) -> list[float]:
+        """The value of each estimate, in node order."""
+        return [est.value for est in self.estimates]
+
+    def require_match(
+        self, semigroup, hm: HarmonicMeasure, p: float, restarts: int, seed: int
+    ) -> None:
+        """Raise DomainError unless these constants were built for exactly these inputs."""
+        if (self.hm is not hm or self.factor != semigroup.factor
+                or (self.p, self.restarts, self.seed) != (p, restarts, seed)):
+            raise DomainError(
+                f"node constants of {self.factor!r} at (p, restarts, seed) = "
+                f"{(self.p, self.restarts, self.seed)} do not fit {semigroup.factor!r} at "
+                f"{(p, restarts, seed)} on this harmonic measure"
+            )
+
+
+def node_constants(
+    semigroup,
+    hm: HarmonicMeasure,
+    p: float,
+    restarts: int = DEFAULT_RESTARTS,
+    seed: int = 0,
+) -> NodeConstants:
+    """Measure the norm of ``semigroup.factor`` at every node of ``hm``, in node order."""
+    _check_p(p)
+    factor = semigroup.factor
+    estimates = tuple(
+        opnorm_lower(factor.evaluate(complex(z)), p, 2.0 if on_v1 else p,
+                     restarts=restarts, seed=seed)
+        for z, on_v1 in zip(hm.z, hm.is_v1)
+    )
+    return NodeConstants(hm, factor, p, restarts, seed, estimates)
+
+
+def _validated_epsilons(hm: HarmonicMeasure, epsilon: float | Sequence[float]) -> list[float]:
+    """The damping levels as floats; raises unless each one can be split at ``hm.theta``."""
+    epsilons = [float(e) for e in np.atleast_1d(epsilon)]
     theta = hm.theta
     if theta < 1e-6 or theta > 1.0 - 1e-6:
         raise IllConditionedSplitError(
@@ -89,13 +140,40 @@ def _split_engine(
                 f"damping magnitude epsilon^((theta-1)/theta) with theta = {theta} and "
                 f"epsilon = {epsilon} exceeds double-precision range"
             )
-    c0 = c1 = 0.0
-    for z, on_v1 in zip(hm.z, hm.is_v1):
-        A = node_operator(complex(z))
-        if on_v1:
-            c1 = max(c1, norms[1](A) ** power)
-        else:
-            c0 = max(c0, norms[0](A) ** power)
+    return epsilons
+
+
+def _largest_node(powered: list[float], on_part: np.ndarray) -> tuple[float, int]:
+    """Largest value over one boundary part, and the first node in it attaining that."""
+    best, node = 0.0, -1
+    for i in np.flatnonzero(on_part):
+        if node < 0 or powered[i] > best:
+            best, node = powered[i], int(i)
+    return best, node
+
+
+def _split_engine(
+    semigroup,
+    domain: TriangleDomain,
+    hm: HarmonicMeasure,
+    epsilons: list[float],
+    norms: tuple[Callable, Callable],
+    node_values: Sequence[float],
+    power: int,
+) -> list[SplitCertificate]:
+    """One certificate per validated eps.
+
+    The (slanted, vertical) ``norms`` measure T0 and T1 respectively; C0 is
+    the largest ``node_values[i] ** power`` over the slanted nodes, C1 the
+    same over the vertical nodes, and ``norms[0]`` also measures the
+    reconstruction residual.  T0 and T1 are assembled in the spectral
+    domain: their multipliers are the damped quadrature sums of
+    exp(-z_i * spectrum), so no node operator is formed.
+    """
+    theta = hm.theta
+    powered = [v**power for v in node_values]
+    c0, c0_node = _largest_node(powered, ~hm.is_v1)
+    c1, c1_node = _largest_node(powered, hm.is_v1)
     Tt = semigroup.evaluate(domain.t).entries
     node_mults = np.exp(-np.outer(hm.z, semigroup.spectrum))
     slanted, vertical = ~hm.is_v1, hm.is_v1
@@ -125,6 +203,8 @@ def _split_engine(
             exponent=float(exponent),
             bound_T0_ok=bool(norm_T0 <= c0 * epsilon * (1.0 + PADDING)),
             bound_T1_ok=bool(norm_T1 <= c1 * epsilon**exponent * (1.0 + PADDING)),
+            C0_node=c0_node,
+            C1_node=c1_node,
         ))
     return certs
 
@@ -138,6 +218,7 @@ def split(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     oracle_check: bool = True,
+    nodes: NodeConstants | None = None,
 ) -> SplitCertificate | list[SplitCertificate]:
     """Build T0, T1 for each damping level and certify both norm bounds.
 
@@ -147,19 +228,26 @@ def split(
     that of the semigroup's tensor ``factor`` raised to its ``power``: for
     p <= q the p -> q norm is multiplicative over tensor products (Beckner),
     and the tensor power of the factor's witness attains the product, so the
-    value stays a certified lower bound.  On spaces small enough for the
-    dense oracle, the norms of the assembled operators are cross-checked
-    against it.
+    value stays a certified lower bound.  ``nodes`` passes in factor norms
+    measured by :func:`node_constants` with the same hm (the same object),
+    factor, p, restarts and seed; anything else raises DomainError before
+    any ascent.  With None they are measured here.  On spaces small enough
+    for the dense oracle, the norms of the assembled operators are
+    cross-checked against it.
     """
-    if not (1.0 < p < 2.0):
-        raise DomainError(f"need 1 < p < 2, got {p}")
+    _check_p(p)
+    epsilons = _validated_epsilons(hm, epsilon)
+    if nodes is None:
+        nodes = node_constants(semigroup, hm, p, restarts, seed)
+    else:
+        nodes.require_match(semigroup, hm, p, restarts, seed)
     certs = _split_engine(
-        semigroup, domain, hm, np.atleast_1d(epsilon),
+        semigroup, domain, hm, epsilons,
         (
             lambda A: opnorm_lower(A, p, p, restarts=restarts, seed=seed).value,
             lambda A: opnorm_lower(A, p, 2.0, restarts=restarts, seed=seed).value,
         ),
-        semigroup.factor.evaluate,
+        nodes.values,
         semigroup.power,
     )
     if oracle_check and semigroup.space.size <= ORACLE_DIM_LIMIT:
@@ -238,17 +326,23 @@ def dimension_sweep(
 
     The geometry (hence theta) does not depend on the space; the interesting
     columns are the measured constants, which must stay dimension-stable.
+    Every cube is a tensor power of the one-bit cube, so the one-bit node
+    norms are measured once and passed to each size's split.
     """
     n_range = list(n_range)
+    if not n_range:
+        raise DomainError("need at least one cube size")
     if any(n > 10 for n in n_range):
         raise CostGuardError("cube size capped at n = 10 (matrix size 2^n)")
     if any(n < 1 for n in n_range):
         raise DomainError("cube size must be at least 1")
+    _validated_epsilons(hm, epsilon)
+    nodes = node_constants(CubeNoiseSemigroup(1), hm, p, restarts, seed)
     rows = []
     for n in n_range:
         cert = split(
             CubeNoiseSemigroup(n), domain, hm, p, epsilon,
-            restarts=restarts, seed=seed, oracle_check=False,
+            restarts=restarts, seed=seed, oracle_check=False, nodes=nodes,
         )
         rows.append(
             SweepRow(

@@ -76,6 +76,13 @@ def test_malformed_value_exits_2_and_writes_nothing(tmp_path, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", ["n_range=5..3", "n_range=0..3", "restarts=-1"])
+def test_bad_sweep_config_exits_2_and_writes_nothing(tmp_path, override):
+    out = tmp_path / "x"
+    assert run_cli(["dimsweep", "--set", override, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_dimsweep(tmp_path):
     code = run_cli(["dimsweep", "--set", "n_range=1,2", "--set", "epsilons=1e-2",
                     "--set", "nodes_per_edge=32", "--out", str(tmp_path)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,15 @@ from semisplit import (
     opnorm_oracle,
 )
 from semisplit.errors import CostGuardError, DomainError, InvalidExponentError
-from semisplit.opnorm import _ORACLE_RANDOM_DIRECTIONS, _colnorms, _fibonacci_sphere, _phase
+from semisplit.opnorm import (
+    _ASCENT_MAX_ITER,
+    _ASCENT_TOL,
+    _ORACLE_RANDOM_DIRECTIONS,
+    _colnorms,
+    _dual_image,
+    _fibonacci_sphere,
+    _phase,
+)
 
 
 def test_identity_norm_on_uniform_space():
@@ -191,6 +200,110 @@ def test_batched_oracle_polish_matches_one_candidate_walk(d):
             for seed, (p, q) in enumerate(((1.5, 1.5), (1.5, 2.0), (2.0, 2.0), (1.2, 3.0))):
                 ref = _oracle_one_candidate_at_a_time(A, p, q, seed=seed)
                 assert opnorm_oracle(A, p, q, seed=seed) == pytest.approx(ref, rel=1e-12)
+
+
+def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
+    """opnorm_lower as it was written first: M.conj().T is formed on every step."""
+    M = A.entries
+    win = A.domain.weights
+    wout = A.codomain.weights
+    d = A.domain.size
+    if not np.any(M):
+        return 0.0, FunctionVector(np.ones(d), A.domain)
+    ind_ratios = _colnorms(M, q, wout) / win ** (1.0 / p)
+    best_ind = int(np.argmax(ind_ratios))
+    rng = np.random.default_rng(seed)
+    cols = [np.ones((d, 1), dtype=complex)]
+    e = np.zeros((d, 1), dtype=complex)
+    e[best_ind, 0] = 1.0
+    cols.append(e)
+    B = (np.sqrt(wout)[:, None] * M) / np.sqrt(win)[None, :]
+    _, _, vh = np.linalg.svd(B)
+    cols.append((vh[0].conj() / np.sqrt(win))[:, None])
+    if d >= 2:
+        v2 = vh[1].conj() / np.sqrt(win)
+        v2 = v2 / max(np.abs(v2).max(), 1e-300)
+        v1 = vh[0].conj() / np.sqrt(win)
+        v1 = v1 / max(np.abs(v1).max(), 1e-300)
+        for c in (0.5, 1.5):
+            cols.append((v1 + c * v2)[:, None])
+            cols.append((v1 - c * v2)[:, None])
+    if restarts > 0:
+        R = rng.standard_normal((d, restarts)) + 1j * rng.standard_normal((d, restarts))
+        half = restarts // 2
+        if half:
+            R[:, :half] = np.abs(R[:, :half])
+        cols.append(R)
+    F = np.concatenate(cols, axis=1)
+    pconj = math.inf if p == 1.0 else p / (p - 1.0)
+
+    def ratios_of(F, absF=None):
+        fp = _colnorms(F, p, win, absF)
+        G = M @ F
+        gq = _colnorms(G, q, wout)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.where(fp > 0, gq / np.where(fp > 0, fp, 1.0), 0.0)
+        return r, G, fp
+
+    best_val = float(np.max(ind_ratios))
+    witness_vec = np.zeros(d, dtype=complex)
+    witness_vec[best_ind] = 1.0
+    r, G, fp = ratios_of(F)
+    if r.max() > best_val:
+        best_val = float(r.max())
+        witness_vec = F[:, int(np.argmax(r))].copy()
+    stall = 0
+    for _ in range(_ASCENT_MAX_ITER):
+        U = _dual_image(G, q - 1.0)
+        H = (M.conj().T @ (wout[:, None] * U)) / win[:, None]
+        if pconj == math.inf:
+            F = np.zeros_like(H)
+            idx = np.argmax(np.abs(H), axis=0)
+            F[idx, np.arange(H.shape[1])] = _phase(H[idx, np.arange(H.shape[1])])
+        else:
+            F = _dual_image(H, pconj - 1.0)
+        norms = _colnorms(F, p, win)
+        dead = norms == 0
+        if np.any(dead):
+            F[:, dead] = 1.0
+            norms = _colnorms(F, p, win)
+        F = F / norms[None, :]
+        absF = np.abs(F)
+        tiny = absF < 1e-250
+        F[tiny] = 0.0
+        absF[tiny] = 0.0
+        r, G, fp = ratios_of(F, absF)
+        new_best = float(r.max())
+        if new_best > best_val + _ASCENT_TOL * max(1.0, best_val):
+            best_val = new_best
+            witness_vec = F[:, int(np.argmax(r))].copy()
+            stall = 0
+        else:
+            stall += 1
+            if stall >= 3:
+                break
+    witness = FunctionVector(witness_vec, A.domain)
+    return float(lp_norm(apply(A, witness), q) / lp_norm(witness, p)), witness
+
+
+def test_ascent_with_hoisted_adjoint_is_bit_identical():
+    # the same zgemm on the same values and strides: value and witness bytes agree
+    rng = np.random.default_rng(11)
+    hoisted, per_step = hashlib.sha256(), hashlib.sha256()
+    for d in range(1, 9):
+        spaces = (FiniteProbabilitySpace.uniform(d), FiniteProbabilitySpace(rng.dirichlet(np.ones(d))))
+        for sp in spaces:
+            for complex_entries in (False, True):
+                M = rng.standard_normal((d, d))
+                if complex_entries:
+                    M = M + 1j * rng.standard_normal((d, d))
+                A = OperatorMatrix.on(sp, M)
+                for seed, (p, q) in enumerate(((1.5, 1.5), (1.5, 2.0), (2.0, 2.0), (1.2, 3.0))):
+                    est = opnorm_lower(A, p, q, seed=seed)
+                    value, witness = _ascent_with_per_step_adjoint(A, p, q, seed=seed)
+                    hoisted.update(np.float64(est.value).tobytes() + est.witness.values.tobytes())
+                    per_step.update(np.float64(value).tobytes() + witness.values.tobytes())
+    assert hoisted.hexdigest() == per_step.hexdigest()
 
 
 def test_oracle_one_atom_is_exact():

@@ -14,6 +14,7 @@ from semisplit import (
     certificate_text,
     dimension_sweep,
     harmonic_measure,
+    node_constants,
     opnorm_lower,
     opnorm_oracle,
     split,
@@ -249,6 +250,87 @@ def test_split_node_ascents_run_on_one_bit_factor(
     nodes = default_measure.z.size
     assert calls[:nodes] == [(2, 2)] * nodes
     assert calls[nodes:] == [(8, 8)] * (3 * len(eps_set))
+
+
+def test_dimension_sweep_measures_node_norms_once(monkeypatch, default_domain, default_measure):
+    calls = _count_ascents(monkeypatch)
+    dimension_sweep(default_domain, default_measure, P, 1e-2, [1, 2, 3], restarts=4, seed=0)
+    nodes = default_measure.z.size
+    # the one-bit node norms once, then T0, T1 and the residual per cube size
+    assert len(calls) == nodes + 3 * 3
+    assert calls[:nodes] == [(2, 2)] * nodes
+
+
+@pytest.mark.parametrize(
+    "epsilon, n_range, error",
+    [(0.0, [1, 2], DomainError), (1.5, [1, 2], DomainError),
+     (1e-2, [0, 2], DomainError), (1e-2, [2, 11], CostGuardError),
+     (1e-2, [], DomainError)],
+)
+def test_dimension_sweep_fails_before_any_ascent(
+    monkeypatch, default_domain, default_measure, epsilon, n_range, error
+):
+    calls = _count_ascents(monkeypatch)
+    with pytest.raises(error):
+        dimension_sweep(default_domain, default_measure, P, epsilon, n_range)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make, eps_set",
+    [(lambda: CubeNoiseSemigroup(3), (1e-1, 1e-2, 1e-3, 1e-4)), (_diagonal_semigroup, (1.0, 1e-2))],
+    ids=["cube3", "diagonal"],
+)
+def test_split_with_node_constants_matches_split(
+    default_domain, default_measure, assert_same_certificate, make, eps_set
+):
+    S = make()
+    kw = dict(restarts=8, seed=0, oracle_check=False)
+    nodes = node_constants(S, default_measure, P, restarts=8, seed=0)
+    shared = split(S, default_domain, default_measure, P, eps_set, nodes=nodes, **kw)
+    for a, b in zip(shared, split(S, default_domain, default_measure, P, eps_set, **kw)):
+        assert_same_certificate(a, b)
+
+
+def test_split_rejects_mismatched_node_constants(monkeypatch, default_domain, default_measure):
+    hm = default_measure
+    S = CubeNoiseSemigroup(2)
+    other_hm = harmonic_measure(default_domain, 64)
+    diag_nodes = node_constants(_diagonal_semigroup(), hm, P, restarts=4, seed=0)
+    mismatched = [
+        (S, node_constants(S, hm, 1.25, restarts=4, seed=0)),
+        (S, node_constants(S, hm, P, restarts=4, seed=1)),
+        (S, node_constants(S, hm, P, restarts=2, seed=0)),
+        (S, node_constants(S, other_hm, P, restarts=4, seed=0)),
+        (S, diag_nodes),
+        # a diagonal semigroup is its own factor and matches only itself
+        (_diagonal_semigroup(), diag_nodes),
+    ]
+    calls = _count_ascents(monkeypatch)
+    for semigroup, nodes in mismatched:
+        with pytest.raises(DomainError):
+            split(semigroup, default_domain, hm, P, 1e-2, restarts=4, seed=0, nodes=nodes)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: CubeNoiseSemigroup(3), _diagonal_semigroup], ids=["cube3", "diagonal"]
+)
+def test_certificate_names_the_nodes_attaining_c0_and_c1(default_domain, default_measure, make):
+    S = make()
+    hm = default_measure
+    nodes = node_constants(S, hm, P, restarts=8, seed=0)
+    cert = split(S, default_domain, hm, P, 1e-2, restarts=8, seed=0, oracle_check=False,
+                 nodes=nodes)
+    assert nodes.values[cert.C0_node] ** S.power == cert.C0_measured
+    assert nodes.values[cert.C1_node] ** S.power == cert.C1_measured
+    assert not hm.is_v1[cert.C0_node]
+    assert hm.is_v1[cert.C1_node]
+    # the first node attaining each maximum
+    assert all(v ** S.power < cert.C0_measured
+               for v, on_v1 in zip(nodes.values[:cert.C0_node], hm.is_v1) if not on_v1)
+    assert all(v ** S.power < cert.C1_measured
+               for v, on_v1 in zip(nodes.values[:cert.C1_node], hm.is_v1) if on_v1)
 
 
 @pytest.mark.parametrize(
