@@ -29,7 +29,7 @@ from .geometry import (
     strip_to_disk,
 )
 from .ideals import make_gamma2, make_schatten_like, measure_compatibility, spectral_norm
-from .opnorm import hypercontractive_time, opnorm_lower
+from .opnorm import DEFAULT_RESTARTS, hypercontractive_time, opnorm_lower
 from .semigroups import (
     CubeNoiseSemigroup,
     DiagonalMultiplierSemigroup,
@@ -75,7 +75,7 @@ class ExperimentConfig:
     nodes_per_edge: int = 64
     seed: int = 0
     output_dir: str = "."
-    restarts: int = 32
+    restarts: int = DEFAULT_RESTARTS
     n_range: list[int] = field(default_factory=lambda: list(range(2, 9)))
     walkers: int = 20_000
     subspace: str = "first-level"
@@ -111,6 +111,12 @@ class ExperimentConfig:
             )
         if self.restarts < 0:
             raise UsageError(f"invariant violated: restarts >= 0 (got {self.restarts})")
+        if self.walkers < 1:
+            raise UsageError(f"invariant violated: walkers >= 1 (got {self.walkers})")
+        if self.subspace not in ("first-level", "random", "degenerate"):
+            raise UsageError(f"invariant violated: unknown subspace kind {self.subspace!r}")
+        if self.subspace_dim < 1:
+            raise UsageError(f"invariant violated: subspace_dim >= 1 (got {self.subspace_dim})")
         self.resolved_geometry()
 
 
@@ -253,10 +259,9 @@ def _subspace_for(cfg: ExperimentConfig, n: int) -> Subspace:
             (2**n, cfg.subspace_dim)
         )
         return Subspace(tuple(FunctionVector(vecs[:, j], space) for j in range(cfg.subspace_dim)))
-    if cfg.subspace == "degenerate":
-        v = rng.standard_normal(2**n) + 0j
-        return Subspace((FunctionVector(v, space), FunctionVector(v, space)))
-    raise UsageError(f"unknown subspace kind: {cfg.subspace}")
+    # degenerate: the same vector twice
+    v = rng.standard_normal(2**n) + 0j
+    return Subspace((FunctionVector(v, space), FunctionVector(v, space)))
 
 
 def run_corollary(cfg: ExperimentConfig) -> int:
@@ -421,9 +426,6 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return runner(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)

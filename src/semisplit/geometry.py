@@ -52,24 +52,19 @@ _V1_TAIL_FRACTION = 1.0 / 16.0
 _V1_TAIL_GRADING = 2
 
 
+def _arg(b: np.ndarray, upper: bool) -> np.ndarray:
+    """Argument of a complex array with a half-plane limit on the negative real axis."""
+    ang = np.angle(b)
+    on_cut = (b.real < 0) & (np.abs(b.imag) <= 1e-13 * (np.abs(b.real) + np.abs(b.imag)))
+    return np.where(on_cut, math.pi if upper else -math.pi, ang)
+
+
 def _pow_half(base, expo: float, upper: bool):
     """Complex power with a half-plane limit on the negative real axis."""
     b = np.asarray(base, dtype=complex)
-    mag = np.abs(b)
-    ang = np.angle(b)
-    on_cut = (b.real < 0) & (np.abs(b.imag) <= 1e-13 * (np.abs(b.real) + np.abs(b.imag)))
-    ang = np.where(on_cut, math.pi if upper else -math.pi, ang)
     with np.errstate(divide="ignore"):
-        out = np.exp(expo * (np.log(mag) + 1j * ang))
+        out = np.exp(expo * (np.log(np.abs(b)) + 1j * _arg(b, upper)))
     return out if out.shape else complex(out)
-
-
-def _arg_lower(base) -> np.ndarray:
-    """Argument with the lower-half-plane limit on the negative real axis."""
-    b = np.asarray(base, dtype=complex)
-    ang = np.angle(b)
-    on_cut = (b.real < 0) & (np.abs(b.imag) <= 1e-13 * (np.abs(b.real) + np.abs(b.imag)))
-    return np.where(on_cut, -math.pi, ang)
 
 
 @dataclass(frozen=True)
@@ -129,18 +124,23 @@ class TriangleDomain:
             return False
         return abs(y) <= (self.b / sa) * x + pad
 
-    def edge_distance(self, z: complex) -> tuple[float, int]:
-        """Distance to the boundary and the index of the nearest edge."""
-        verts = self.vertices
-        edges = ((verts[0], verts[2]), (verts[2], verts[1]), (verts[1], verts[0]))
-        best, best_e = math.inf, -1
-        for k, (p0, p1) in enumerate(edges):
-            d = p1 - p0
-            tt = min(max(((complex(z) - p0) * d.conjugate()).real / abs(d) ** 2, 0.0), 1.0)
-            dist = abs(complex(z) - (p0 + tt * d))
-            if dist < best:
-                best, best_e = dist, k
-        return best, best_e
+    @property
+    def edges(self) -> tuple[tuple[complex, complex], ...]:
+        """(start, end) per edge: 0 apex -> s+a-ib, 1 the vertical edge V1, 2 s+a+ib -> apex."""
+        apex, vp, vm = self.vertices
+        return ((apex, vm), (vm, vp), (vp, apex))
+
+    def edge_distance(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Distance to the boundary and the index of the nearest edge, per point of a 1-d array."""
+        p = np.asarray(z, dtype=complex)
+        starts, ends = np.array(self.edges).T
+        dirs = ends - starts
+        lens2 = np.abs(dirs) ** 2
+        rel = p[None, :] - starts[:, None]
+        ts = np.clip((rel * np.conj(dirs[:, None])).real / lens2[:, None], 0.0, 1.0)
+        foot = starts[:, None] + ts * dirs[:, None]
+        d = np.abs(p[None, :] - foot)
+        return d.min(axis=0), d.argmin(axis=0)
 
 
 @dataclass(frozen=True)
@@ -470,18 +470,18 @@ class _TriangleMap:
             raise ConvergenceError("disk point corresponds to the prevertex at infinity")
         return (self.zeta_t - np.conj(self.zeta_t) * m) / (1.0 - m)
 
-    def strip(self, zeta) -> np.ndarray:
-        """Strip coordinate w(zeta), stable at every distance from the corners.
+    def strip(self, one_minus) -> np.ndarray:
+        """Strip coordinate w(zeta) from 1 - zeta, stable at every distance from the corners.
 
         The Moebius map to the disk followed by the disk-to-strip equivalence
         collapses to w = Log(S) / (i pi) with S = (yt / sin(pi theta)) / (1 - zeta),
-        taking the lower limit of arg(1 - zeta) on its cut.
+        taking the lower limit of arg(1 - zeta) on its cut.  Callers pass 1 - zeta
+        itself because near the prevertex 1 it can be known more exactly than zeta.
         """
-        zeta = np.asarray(zeta, dtype=complex)
-        one_minus = 1.0 - zeta
+        one_minus = np.asarray(one_minus, dtype=complex)
         const = math.log(self.yt / math.sin(math.pi * self.theta))
         log_abs_s = const - np.log(np.abs(one_minus))
-        arg_s = -_arg_lower(one_minus)
+        arg_s = -_arg(one_minus, upper=False)
         w = arg_s / math.pi - 1j * log_abs_s / math.pi
         return w if w.shape else complex(w)
 
@@ -501,10 +501,14 @@ def _triangle_map(domain: TriangleDomain) -> _TriangleMap:
     return _TriangleMap(domain)
 
 
-def strip_to_disk(theta: float, w) -> complex:
-    """Conformal equivalence of the unit strip with the unit disk sending theta to 0."""
+def _check_theta(theta: float) -> None:
     if not (0.0 < theta < 1.0):
         raise DomainError(f"theta must be in (0, 1), got {theta}")
+
+
+def strip_to_disk(theta: float, w) -> complex:
+    """Conformal equivalence of the unit strip with the unit disk sending theta to 0."""
+    _check_theta(theta)
     warr = np.asarray(w, dtype=complex)
     if np.any(warr.real < -1e-9) or np.any(warr.real > 1 + 1e-9):
         raise DomainError("strip coordinate must satisfy 0 <= Re(w) <= 1")
@@ -515,8 +519,7 @@ def strip_to_disk(theta: float, w) -> complex:
 
 def disk_to_strip(theta: float, omega) -> complex:
     """Inverse of :func:`strip_to_disk` on the closed disk."""
-    if not (0.0 < theta < 1.0):
-        raise DomainError(f"theta must be in (0, 1), got {theta}")
+    _check_theta(theta)
     om = np.asarray(omega, dtype=complex)
     if np.any(np.abs(om) > 1 + 1e-9):
         raise DomainError("point must lie in the closed unit disk")
@@ -531,8 +534,7 @@ def disk_to_strip(theta: float, omega) -> complex:
 
 def strip_damping(theta: float, epsilon: float, w) -> complex:
     """Geometric-mean damping on the strip: 1 at theta, modulus epsilon on Re = 0."""
-    if not (0.0 < theta < 1.0):
-        raise DomainError(f"theta must be in (0, 1), got {theta}")
+    _check_theta(theta)
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
     warr = np.asarray(w, dtype=complex)
@@ -645,12 +647,7 @@ class HarmonicMeasure:
         n_lo = nodes_per_edge // 2
         n_hi = nodes_per_edge - n_lo
 
-        verts = domain.vertices
-        apex, vp, vm = verts[0], verts[1], verts[2]
-        edge_ends = {0: (apex, vm), 1: (vm, vp), 2: (vp, apex)}
-
         rows = []  # (edge_id, z, tau, weight, zeta_for_records, w_strip, density)
-        strip_const = math.log(m.yt / math.sin(math.pi * m.theta))
 
         def gl01(n):
             x, w = leggauss(n)
@@ -668,7 +665,7 @@ class HarmonicMeasure:
                     "grading drove a node onto a prevertex; reduce nodes_per_edge "
                     "or use a less extreme triangle"
                 )
-            start, end = edge_ends[edge_id]
+            start, end = domain.edges[edge_id]
             L2 = abs(end - start) ** 2
             z_vals = np.asarray(z_vals)
             tau = np.clip(((z_vals - start) * np.conj(end - start)).real / L2, 0.0, 1.0)
@@ -677,10 +674,7 @@ class HarmonicMeasure:
             if drift > 1e-8 * domain.scale:
                 raise ConvergenceError(f"boundary node drifted {drift} off edge {edge_id}")
             log_abs_om = np.log(np.abs(one_minus))
-            w_strip = (
-                -_arg_lower(one_minus) / math.pi
-                - 1j * (strip_const - log_abs_om) / math.pi
-            )
+            w_strip = m.strip(one_minus)
             log_fp = (
                 math.log(abs(m.C))
                 + (m.alpha - 1.0) * np.log(abs_zeta)
@@ -837,10 +831,10 @@ def strip_coordinate(domain: TriangleDomain, hm: HarmonicMeasure, z: complex) ->
     if abs(complex(z) - domain.t) < 1e-15 * domain.scale:
         return StripCoordinate(complex(hm.theta))
     zeta = m.invert(z)
-    w = complex(m.strip(zeta))
-    dist, edge = domain.edge_distance(z)
-    if dist < 1e-9 * domain.scale:
-        w = complex(1.0 if edge == 1 else 0.0, w.imag)
+    w = complex(m.strip(1.0 - zeta))
+    dist, edge = domain.edge_distance([z])
+    if dist[0] < 1e-9 * domain.scale:
+        w = complex(1.0 if edge[0] == 1 else 0.0, w.imag)
     return StripCoordinate(w)
 
 
@@ -869,32 +863,19 @@ def brownian_exit_theta(
     z0 = complex(domain.t if start is None else start)
     if not domain.contains(z0, tol=-1e-12):
         raise DomainError(f"start point {z0} must be interior")
-    verts = domain.vertices
-    segs = ((verts[0], verts[2]), (verts[2], verts[1]), (verts[1], verts[0]))
-    seg_is_v1 = np.array([False, True, False])
-    starts = np.array([s for s, _ in segs])
-    dirs = np.array([e - s for s, e in segs])
-    lens2 = np.abs(dirs) ** 2
     shell = 1e-7 * domain.scale
 
     pos = np.full(walkers, z0, dtype=complex)
     alive = np.ones(walkers, dtype=bool)
     hit_v1 = np.zeros(walkers, dtype=bool)
 
-    def nearest_and_dist(p):
-        rel = p[None, :] - starts[:, None]
-        ts = np.clip((rel * np.conj(dirs[:, None])).real / lens2[:, None], 0.0, 1.0)
-        foot = starts[:, None] + ts * dirs[:, None]
-        d = np.abs(p[None, :] - foot)
-        return d.argmin(axis=0), d.min(axis=0)
-
     for _ in range(500):
         if not alive.any():
             break
         idx = np.flatnonzero(alive)
-        nearest, dmin = nearest_and_dist(pos[idx])
+        dmin, nearest = domain.edge_distance(pos[idx])
         done = dmin < shell
-        hit_v1[idx[done]] = seg_is_v1[nearest[done]]
+        hit_v1[idx[done]] = nearest[done] == 1
         alive[idx[done]] = False
         moving = idx[~done]
         if moving.size:
@@ -902,8 +883,8 @@ def brownian_exit_theta(
             pos[moving] = pos[moving] + dmin[~done] * np.exp(1j * ang)
     if alive.any():
         idx = np.flatnonzero(alive)
-        nearest, _ = nearest_and_dist(pos[idx])
-        hit_v1[idx] = seg_is_v1[nearest]
+        _, nearest = domain.edge_distance(pos[idx])
+        hit_v1[idx] = nearest == 1
     est = float(hit_v1.mean())
     stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / walkers)
     return est, stderr

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import hadamard
 
-from .errors import DomainError, ShapeError
+from .errors import CostGuardError, DomainError, ShapeError
 from .spaces import FiniteProbabilitySpace, FunctionVector, OperatorMatrix
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _RE_TOL = 1e-12
+# largest cube size n: a dense 2^n x 2^n matrix per operator
+_MAX_CUBE_N = 10
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,8 @@ class CubeNoiseSemigroup:
     def __init__(self, n: int):
         if n < 1:
             raise DomainError("need at least one variable")
+        if n > _MAX_CUBE_N:
+            raise CostGuardError(f"cube size capped at n = {_MAX_CUBE_N} (matrix size 2^n)")
         self.n = int(n)
         self.space = FiniteProbabilitySpace.uniform(2**self.n)
         self.spectrum = subset_sizes(self.n)

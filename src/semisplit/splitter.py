@@ -22,7 +22,7 @@ from .errors import (
 )
 from .geometry import HarmonicMeasure, TriangleDomain, strip_damping
 from .opnorm import DEFAULT_RESTARTS, ORACLE_DIM_LIMIT, NormEstimate, opnorm_lower, opnorm_oracle
-from .semigroups import CubeNoiseSemigroup
+from .semigroups import _MAX_CUBE_N, CubeNoiseSemigroup
 from .spaces import OperatorMatrix
 
 __all__ = [
@@ -332,8 +332,8 @@ def dimension_sweep(
     n_range = list(n_range)
     if not n_range:
         raise DomainError("need at least one cube size")
-    if any(n > 10 for n in n_range):
-        raise CostGuardError("cube size capped at n = 10 (matrix size 2^n)")
+    if any(n > _MAX_CUBE_N for n in n_range):
+        raise CostGuardError(f"cube size capped at n = {_MAX_CUBE_N} (matrix size 2^n)")
     if any(n < 1 for n in n_range):
         raise DomainError("cube size must be at least 1")
     _validated_epsilons(hm, epsilon)

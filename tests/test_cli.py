@@ -83,6 +83,31 @@ def test_bad_sweep_config_exits_2_and_writes_nothing(tmp_path, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [("corollary", ["subspace=bogus"]),
+     ("checks", ["walkers=0"]),
+     ("corollary", ["subspace=random", "subspace_dim=0"]),
+     ("corollary", ["subspace=random", "subspace_dim=-1"])],
+    ids=["subspace=bogus", "walkers=0", "subspace_dim=0", "subspace_dim=-1"],
+)
+def test_bad_corollary_or_checks_config_exits_2_and_writes_nothing(tmp_path, command, overrides):
+    out = tmp_path / "x"
+    args = [command]
+    for override in overrides:
+        args += ["--set", override]
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_split_beyond_cube_cap_exits_3_before_any_output(tmp_path):
+    code = run_cli(["split", "--set", "n=11", "--set", "nodes_per_edge=32",
+                    "--out", str(tmp_path)])
+    assert code == 3
+    assert (tmp_path / "diagnostics.txt").exists()
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_dimsweep(tmp_path):
     code = run_cli(["dimsweep", "--set", "n_range=1,2", "--set", "epsilons=1e-2",
                     "--set", "nodes_per_edge=32", "--out", str(tmp_path)])

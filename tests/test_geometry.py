@@ -253,3 +253,42 @@ def test_node_table_format(default_measure):
     int(fields[0])
     float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
     assert fields[5] in ("V0", "V1")
+
+
+def _edge_distances_scalar(domain, z):
+    """Distance to each edge by the per-point loop that edge_distance vectorizes."""
+    out = []
+    for p0, p1 in domain.edges:
+        d = p1 - p0
+        tt = min(max(((complex(z) - p0) * d.conjugate()).real / abs(d) ** 2, 0.0), 1.0)
+        out.append(abs(complex(z) - (p0 + tt * d)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [TriangleDomain.with_defaults(S_STAR), TriangleDomain(0.3466, 0.3466, 0.1733, 0.1733)],
+    ids=["default", "flat"],
+)
+def test_edge_distance_matches_per_point_loop(domain):
+    apex, vp, vm = domain.vertices
+    assert domain.edges == ((apex, vm), (vm, vp), (vp, apex))
+    mids = [(s + e) / 2 for s, e in domain.edges]
+    # outward normals of the counter-clockwise edges
+    outward = [-1j * (e - s) / abs(e - s) for s, e in domain.edges]
+    outside = [m + 1e-3 * domain.scale * n for m, n in zip(mids, outward)]
+    outside += [v * (1 + 1e-6) for v in (vp, vm)] + [-1e-6 * domain.scale]
+    interior = np.random.default_rng(0).dirichlet(np.ones(3), 200) @ np.array(domain.vertices)
+    points = np.array([apex, vp, vm, *mids, *interior, *outside])
+    dist, edge = domain.edge_distance(points)
+    assert dist.shape == edge.shape == points.shape
+    tol = 1e-15 * domain.scale
+    for z, d, e in zip(points, dist, edge):
+        ref = _edge_distances_scalar(domain, z)
+        ref_d = min(ref)
+        assert abs(d - ref_d) <= tol
+        if sorted(ref)[1] - ref_d > tol:
+            assert e == ref.index(ref_d)
+        else:
+            # a vertex lies on two edges; rounding may pick either
+            assert ref[e] - ref_d <= tol

@@ -15,7 +15,12 @@ from semisplit import (
     semigroup_property_check,
     walsh_transform,
 )
-from semisplit.errors import DomainError, ShapeError
+from semisplit.errors import CostGuardError, DomainError, ShapeError
+
+
+def test_cube_size_above_cap_raises_cost_guard():
+    with pytest.raises(CostGuardError):
+        CubeNoiseSemigroup(11)
 
 
 def test_evaluate_at_zero_is_identity():

@@ -199,13 +199,15 @@ def test_split_sequence_matches_per_eps_cube(
 def test_split_sequence_matches_per_eps_diagonal(
     default_domain, default_measure, assert_same_certificate
 ):
+    # the node norms are measured once and shared by all three splits; the
+    # nodes=None path is covered by test_split_with_node_constants_matches_split
     S = _diagonal_semigroup()
     eps_set = (1.0, 1e-2)
-    certs = split(S, default_domain, default_measure, P, eps_set, seed=0, oracle_check=False)
+    kw = dict(seed=0, oracle_check=False,
+              nodes=node_constants(S, default_measure, P, seed=0))
+    certs = split(S, default_domain, default_measure, P, eps_set, **kw)
     for eps, cert in zip(eps_set, certs):
-        assert_same_certificate(
-            cert, split(S, default_domain, default_measure, P, eps, seed=0, oracle_check=False)
-        )
+        assert_same_certificate(cert, split(S, default_domain, default_measure, P, eps, **kw))
 
 
 def _count_ascents(monkeypatch):
