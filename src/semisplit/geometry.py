@@ -300,8 +300,12 @@ class _TriangleMap:
             return x
         raise ConvergenceError(f"Newton stalled: target {target}, residual {abs(err)}")
 
-    def _invert_corner(self, z: complex) -> complex | None:
-        """Inversion through a corner chart in the local power variable, or None."""
+    def _invert_corner(self, z: complex) -> tuple[complex, complex] | None:
+        """(zeta, 1 - zeta) through a corner chart in the local power variable, or None.
+
+        The chart at s+a-ib solves for sigma = 1 - zeta itself, which is kept:
+        zeta = 1 - sigma rounds to 1 once sigma falls below 1e-16.
+        """
         # apex: z ~ (C/alpha) zeta^alpha, eta = zeta^alpha
         eta0 = self.alpha * z / self.C
         if abs(eta0) <= 0.4**self.alpha:
@@ -314,7 +318,8 @@ class _TriangleMap:
                 return self.C * _pow_half(1.0 - zz, self.beta - 1.0, upper=False) / self.alpha
 
             eta = self._newton_chart(chart, dchart, eta0, z)
-            return complex(_pow_half(eta, 1.0 / self.alpha, upper=True))
+            zeta = complex(_pow_half(eta, 1.0 / self.alpha, upper=True))
+            return zeta, 1.0 - zeta
         # vm: z ~ vm - (C/beta) sigma^beta with sigma = 1 - zeta
         eta0 = self.beta * (self.vm - z) / self.C
         if abs(eta0) <= 0.4**self.beta:
@@ -328,7 +333,7 @@ class _TriangleMap:
 
             eta = self._newton_chart(chart, dchart, eta0, z)
             sigma = complex(_pow_half(eta, 1.0 / self.beta, upper=False))
-            return 1.0 - sigma
+            return 1.0 - sigma, sigma
         # vp: z ~ vp - (C/beta) (-1)^(beta-1) rho^beta with rho = 1/zeta
         phase = complex(_pow_half(-1.0 + 0j, self.beta - 1.0, upper=False))
         eta0 = self.beta * (self.vp - z) / (self.C * phase)
@@ -345,7 +350,8 @@ class _TriangleMap:
             rho = complex(_pow_half(eta, 1.0 / self.beta, upper=False))
             if rho == 0:
                 raise ConvergenceError("inversion collapsed onto the corner at s+a+ib")
-            return 1.0 / rho
+            zeta = 1.0 / rho
+            return zeta, 1.0 - zeta
         return None
 
     def _newton_plain(self, start: complex, target: complex, max_iter=60):
@@ -397,18 +403,19 @@ class _TriangleMap:
             return zeta
         raise ConvergenceError(f"vertical-edge inversion stalled at {z}")
 
-    def invert(self, z: complex) -> complex:
-        """Preimage in the closed upper half-plane of a point of closure(V)."""
+    def invert(self, z: complex) -> tuple[complex, complex]:
+        """Preimage zeta in the closed upper half-plane of a point of closure(V), and 1 - zeta."""
         z = complex(z)
         sa = self.domain.s + self.domain.a
         if abs(z.real - sa) <= 1e-11 * self.domain.scale and abs(z.imag) < self.domain.b:
-            return self._invert_vertical(z)
+            zeta = self._invert_vertical(z)
+            return zeta, 1.0 - zeta
         try:
-            zeta = self._invert_corner(z)
+            found = self._invert_corner(z)
         except ConvergenceError:
-            zeta = None
-        if zeta is not None:
-            return self._clip_uhp(zeta, z)
+            found = None
+        if found is not None:
+            return self._clip_uhp(*found, z)
         # continuation along the straight path from t, which stays in the convex domain
         z0 = complex(self.domain.t)
         zeta = self.zeta_t
@@ -426,14 +433,15 @@ class _TriangleMap:
                 continue
             zeta, lam = zeta_next, lam_next
             step = min(1.0, step * 1.7)
-        return self._clip_uhp(zeta, z)
+        return self._clip_uhp(zeta, 1.0 - zeta, z)
 
-    def _clip_uhp(self, zeta: complex, z: complex) -> complex:
+    def _clip_uhp(self, zeta: complex, one_minus: complex, z: complex) -> tuple[complex, complex]:
         if zeta.imag < 0:
             if zeta.imag < -1e-8 * (1.0 + abs(zeta)):
                 raise ConvergenceError(f"inversion of {z} left the half-plane: {zeta}")
             zeta = complex(zeta.real, 0.0)
-        return zeta
+            one_minus = complex(one_minus.real, 0.0)
+        return zeta, one_minus
 
     def _locate(self, t: float) -> complex:
         """Bootstrap the preimage of the interior point t by continuation from f(i)."""
@@ -553,7 +561,7 @@ def conformal_to_disk(domain: TriangleDomain, z: complex) -> complex:
     if not domain.contains(z, tol=1e-9):
         raise DomainError(f"{z} is not in the closed triangle")
     m = _triangle_map(domain)
-    return complex(m.mobius(m.invert(z)))
+    return complex(m.mobius(m.invert(z)[0]))
 
 
 def conformal_from_disk(domain: TriangleDomain, omega: complex) -> complex:
@@ -809,7 +817,7 @@ class HarmonicMeasure:
             if bp.edge_id == point.edge_id and abs(bp.edge_parameter - point.edge_parameter) < 1e-14:
                 return float(self._density[i])
         m = self._map
-        zeta = m.invert(point.z)
+        zeta, _ = m.invert(point.z)
         if abs(zeta.imag) > 1e-6 * (1 + abs(zeta)):
             raise DomainError(f"{point.z} is not a boundary point")
         x = zeta.real
@@ -830,8 +838,8 @@ def strip_coordinate(domain: TriangleDomain, hm: HarmonicMeasure, z: complex) ->
     m = hm._map
     if abs(complex(z) - domain.t) < 1e-15 * domain.scale:
         return StripCoordinate(complex(hm.theta))
-    zeta = m.invert(z)
-    w = complex(m.strip(1.0 - zeta))
+    _, one_minus = m.invert(z)
+    w = complex(m.strip(one_minus))
     dist, edge = domain.edge_distance([z])
     if dist[0] < 1e-9 * domain.scale:
         w = complex(1.0 if edge[0] == 1 else 0.0, w.imag)

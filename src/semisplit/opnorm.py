@@ -9,15 +9,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CostGuardError, ConvergenceError, DomainError, InvalidExponentError
+from .errors import (
+    ConvergenceError,
+    CostGuardError,
+    DomainError,
+    InvalidExponentError,
+    ShapeError,
+)
 from .spaces import FunctionVector, OperatorMatrix, apply, lp_norm
 
 __all__ = [
     "NormEstimate",
     "opnorm_lower",
+    "opnorm_lower_many",
     "opnorm_oracle",
     "hypercontractive_time",
     "DEFAULT_RESTARTS",
@@ -33,10 +41,15 @@ _ASCENT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A certified lower bound on an operator norm."""
+    """A certified lower bound on an operator norm.
+
+    ``steps`` counts the ascent steps run for the operator (0 for the zero
+    operator); below ``_ASCENT_MAX_ITER`` the ascent stopped on its stall rule.
+    """
 
     value: float
     witness: FunctionVector
+    steps: int
 
 
 def _colnorms(
@@ -83,44 +96,97 @@ def opnorm_lower(
     joins the ascent batch), the top singular vector of the weighted 2->2
     problem, and bifurcation mixes of the two leading singular directions.
     The returned value is always a certified lower bound, re-evaluated from
-    the witness.
+    the witness.  This is :func:`opnorm_lower_many` on a stack of one.
+    """
+    return opnorm_lower_many([A], p, q, restarts, seed)[0]
+
+
+def opnorm_lower_many(
+    ops: Sequence[OperatorMatrix],
+    p: float,
+    q: float,
+    restarts: int = DEFAULT_RESTARTS,
+    seed: int = 0,
+) -> list[NormEstimate]:
+    """:func:`opnorm_lower` of each operator, run as one ascent on their stack.
+
+    The operators share a domain and a codomain.  Each one gets the starts,
+    steps and stall rule of its own call, on the same random block, so each
+    estimate equals ``opnorm_lower(A, p, q, restarts, seed)`` bit for bit; an
+    operator leaves the stack as soon as its ascent stops.
     """
     _check_exponent(p)
     _check_exponent(q)
-    M = A.entries
-    win = A.domain.weights
-    wout = A.codomain.weights
-    d = A.domain.size
-
-    if not np.any(M):
-        witness = FunctionVector(np.ones(d), A.domain)
-        return NormEstimate(0.0, witness)
-
-    # all atom indicators, scored in one vectorized pass
-    ind_ratios = _colnorms(M, q, wout) / win ** (1.0 / p)
-    best_ind = int(np.argmax(ind_ratios))
-
-    rng = np.random.default_rng(seed)
-    cols = [np.ones((d, 1), dtype=complex)]
-    e = np.zeros((d, 1), dtype=complex)
-    e[best_ind, 0] = 1.0
-    cols.append(e)
+    ops = list(ops)
+    if not ops:
+        return []
+    domain, codomain = ops[0].domain, ops[0].codomain
+    if any(A.domain != domain or A.codomain != codomain for A in ops):
+        raise ShapeError("stacked operators must share a domain and a codomain")
+    win = domain.weights
+    wout = codomain.weights
+    estimates: list[NormEstimate | None] = [None] * len(ops)
+    nonzero = []
+    for i, A in enumerate(ops):
+        if np.any(A.entries):
+            nonzero.append(i)
+        else:
+            estimates[i] = NormEstimate(0.0, FunctionVector(np.ones(domain.size), domain), 0)
+    if not nonzero:
+        return estimates
+    if len(nonzero) == 1:
+        M = ops[nonzero[0]].entries[None]  # a view: one large operator is not copied
+    else:
+        M = np.stack([ops[i].entries for i in nonzero])
     try:
         B = (np.sqrt(wout)[:, None] * M) / np.sqrt(win)[None, :]
         _, _, vh = np.linalg.svd(B)
-        cols.append((vh[0].conj() / np.sqrt(win))[:, None])
+    except np.linalg.LinAlgError:
+        if len(nonzero) > 1:
+            # one operator at a time, so only the failing one loses its SVD starts
+            for i in nonzero:
+                estimates[i] = opnorm_lower_many([ops[i]], p, q, restarts, seed)[0]
+            return estimates
+        vh = None
+    witnesses, steps = _ascent(M, win, wout, p, q, restarts, seed, vh)
+    for i, f, n in zip(nonzero, witnesses, steps):
+        witness = FunctionVector(f, domain)
+        value = lp_norm(apply(ops[i], witness), q) / lp_norm(witness, p)
+        estimates[i] = NormEstimate(float(value), witness, int(n))
+    return estimates
+
+
+def _ascent(M, win, wout, p, q, restarts, seed, vh):
+    """Multistart dual ascent on a stack M of nonzero operators (L, d_out, d).
+
+    ``vh`` holds the right singular vectors of the weighted stack, or None
+    when its SVD failed.  Returns the best function found for each operator,
+    one row each, and the number of steps each one ran.
+    """
+    L, _, d = M.shape
+    rows = np.arange(L)
+
+    # all atom indicators, scored in one vectorized pass
+    ind_ratios = _colnorms(M, q, wout) / win ** (1.0 / p)
+    best_ind = np.argmax(ind_ratios, axis=1)
+
+    rng = np.random.default_rng(seed)
+    cols = [np.ones((L, d, 1), dtype=complex)]
+    e = np.zeros((L, d, 1), dtype=complex)
+    e[rows, best_ind, 0] = 1.0
+    cols.append(e)
+    if vh is not None:
+        v1 = vh[:, 0].conj() / np.sqrt(win)
+        cols.append(v1[:, :, None])
         if d >= 2:
             # maximizers often bifurcate from a dominant mode along the next
             # singular direction; seed that family explicitly
-            v2 = vh[1].conj() / np.sqrt(win)
-            v2 = v2 / max(np.abs(v2).max(), 1e-300)
-            v1 = vh[0].conj() / np.sqrt(win)
-            v1 = v1 / max(np.abs(v1).max(), 1e-300)
+            v2 = vh[:, 1].conj() / np.sqrt(win)
+            v2 = v2 / np.maximum(np.abs(v2).max(axis=1), 1e-300)[:, None]
+            v1 = v1 / np.maximum(np.abs(v1).max(axis=1), 1e-300)[:, None]
             for c in (0.5, 1.5):
-                cols.append((v1 + c * v2)[:, None])
-                cols.append((v1 - c * v2)[:, None])
-    except np.linalg.LinAlgError:
-        pass
+                cols.append((v1 + c * v2)[:, :, None])
+                cols.append((v1 - c * v2)[:, :, None])
     if restarts > 0:
         R = rng.standard_normal((d, restarts)) + 1j * rng.standard_normal((d, restarts))
         # positive profiles seed the basins of positivity-preserving operators,
@@ -128,66 +194,76 @@ def opnorm_lower(
         half = restarts // 2
         if half:
             R[:, :half] = np.abs(R[:, :half])
-        cols.append(R)
-    F = np.concatenate(cols, axis=1)
+        cols.append(np.broadcast_to(R, (L, d, restarts)))
+    F = np.concatenate(cols, axis=2)
 
     pconj = math.inf if p == 1.0 else p / (p - 1.0)
 
-    def ratios_of(F, absF=None):
+    def ratios_of(M, F, absF=None):
         fp = _colnorms(F, p, win, absF)
         G = M @ F
         gq = _colnorms(G, q, wout)
         with np.errstate(invalid="ignore", divide="ignore"):
             r = np.where(fp > 0, gq / np.where(fp > 0, fp, 1.0), 0.0)
-        return r, G, fp
+        return r, G
 
-    best_val = float(np.max(ind_ratios))
-    witness_vec = np.zeros(d, dtype=complex)
-    witness_vec[best_ind] = 1.0
+    # live: stack positions still ascending; best and stall are aligned with it
+    live = rows
+    best = ind_ratios.max(axis=1)
+    witness = np.zeros((L, d), dtype=complex)
+    witness[rows, best_ind] = 1.0
+    steps = np.zeros(L, dtype=int)
 
-    r, G, fp = ratios_of(F)
-    if r.max() > best_val:
-        best_val = float(r.max())
-        witness_vec = F[:, int(np.argmax(r))].copy()
+    r, G = ratios_of(M, F)
+    top = r.max(axis=1)
+    up = np.flatnonzero(top > best)
+    best[up] = top[up]
+    witness[up] = F[up, :, r[up].argmax(axis=1)]
 
-    MH = M.conj().T
-    stall = 0
-    for _ in range(_ASCENT_MAX_ITER):
+    MH = M.conj().transpose(0, 2, 1)
+    stall = np.zeros(L, dtype=int)
+    for step in range(1, _ASCENT_MAX_ITER + 1):
         U = _dual_image(G, q - 1.0)
         H = (MH @ (wout[:, None] * U)) / win[:, None]
         if pconj == math.inf:
             # dual of L_1: concentrate on the largest coordinate
             F = np.zeros_like(H)
-            idx = np.argmax(np.abs(H), axis=0)
-            F[idx, np.arange(H.shape[1])] = _phase(H[idx, np.arange(H.shape[1])])
+            at, col = np.arange(H.shape[0])[:, None], np.arange(H.shape[2])
+            idx = np.argmax(np.abs(H), axis=1)
+            F[at, idx, col] = _phase(H[at, idx, col])
         else:
             F = _dual_image(H, pconj - 1.0)
         norms = _colnorms(F, p, win)
         dead = norms == 0
         if np.any(dead):
-            F[:, dead] = 1.0
+            F.transpose(0, 2, 1)[dead] = 1.0
             norms = _colnorms(F, p, win)
-        F = F / norms[None, :]
+        F = F / norms[:, None, :]
         absF = np.abs(F)
         # components decaying double-exponentially toward an indicator limit
         # reach denormal range within a few iterations; flush them
         tiny = absF < 1e-250
         F[tiny] = 0.0
         absF[tiny] = 0.0
-        r, G, fp = ratios_of(F, absF)
-        new_best = float(r.max())
-        if new_best > best_val + _ASCENT_TOL * max(1.0, best_val):
-            best_val = new_best
-            witness_vec = F[:, int(np.argmax(r))].copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 3:
+        r, G = ratios_of(M, F, absF)
+        top = r.max(axis=1)
+        up = np.flatnonzero(top > best + _ASCENT_TOL * np.maximum(1.0, best))
+        stall += 1
+        if up.size:
+            best[up] = top[up]
+            witness[live[up]] = F[up, :, r[up].argmax(axis=1)]
+            stall[up] = 0
+        if stall.max() >= 3:
+            going = stall < 3
+            steps[live[~going]] = step
+            live, best, stall = live[going], best[going], stall[going]
+            if not live.size:
                 break
-
-    witness = FunctionVector(witness_vec, A.domain)
-    value = lp_norm(apply(A, witness), q) / lp_norm(witness, p)
-    return NormEstimate(float(value), witness)
+            M, G = M[going], G[going]
+            MH = M.conj().transpose(0, 2, 1)
+    # operators still ascending ran every step
+    steps[live] = _ASCENT_MAX_ITER
+    return witness, steps
 
 
 def _fibonacci_sphere(n_points: int) -> np.ndarray:

@@ -21,7 +21,14 @@ from .errors import (
     IllConditionedSplitError,
 )
 from .geometry import HarmonicMeasure, TriangleDomain, strip_damping
-from .opnorm import DEFAULT_RESTARTS, ORACLE_DIM_LIMIT, NormEstimate, opnorm_lower, opnorm_oracle
+from .opnorm import (
+    DEFAULT_RESTARTS,
+    ORACLE_DIM_LIMIT,
+    NormEstimate,
+    opnorm_lower,
+    opnorm_lower_many,
+    opnorm_oracle,
+)
 from .semigroups import _MAX_CUBE_N, CubeNoiseSemigroup
 from .spaces import OperatorMatrix
 
@@ -113,15 +120,20 @@ def node_constants(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> NodeConstants:
-    """Measure the norm of ``semigroup.factor`` at every node of ``hm``, in node order."""
+    """Measure the norm of ``semigroup.factor`` at every node of ``hm``, in node order.
+
+    The slanted nodes (p -> p) and the vertical ones (p -> 2) are each
+    measured as one stack by :func:`opnorm_lower_many`.
+    """
     _check_p(p)
     factor = semigroup.factor
-    estimates = tuple(
-        opnorm_lower(factor.evaluate(complex(z)), p, 2.0 if on_v1 else p,
-                     restarts=restarts, seed=seed)
-        for z, on_v1 in zip(hm.z, hm.is_v1)
-    )
-    return NodeConstants(hm, factor, p, restarts, seed, estimates)
+    ops = [factor.evaluate(complex(z)) for z in hm.z]
+    estimates = [None] * len(ops)
+    for part, q in ((np.flatnonzero(~hm.is_v1), p), (np.flatnonzero(hm.is_v1), 2.0)):
+        stack = opnorm_lower_many([ops[i] for i in part], p, q, restarts, seed)
+        for i, est in zip(part, stack):
+            estimates[i] = est
+    return NodeConstants(hm, factor, p, restarts, seed, tuple(estimates))
 
 
 def _validated_epsilons(hm: HarmonicMeasure, epsilon: float | Sequence[float]) -> list[float]:

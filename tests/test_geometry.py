@@ -178,6 +178,23 @@ def test_strip_coordinate_values(default_domain, default_measure):
         assert abs(w.real) <= 1e-8
 
 
+def test_strip_coordinate_is_finite_near_the_corner_s_plus_a_minus_ib(
+    default_domain, default_measure
+):
+    # near that corner zeta = 1 - sigma with sigma ~ r^(1/beta) at distance r,
+    # pi beta being the interior angle, so Im w - ln(r) / (pi beta) tends to a
+    # constant; 1 - zeta recomputed from zeta rounds once sigma ~ 1e-16
+    V = default_domain
+    apex, vp, vm = V.vertices
+    beta = abs(cmath.phase((apex - vm) / (vp - vm))) / math.pi
+    offsets = []
+    for r in (1e-4, 1e-5, 1e-6, 1e-8):
+        w = strip_coordinate(V, default_measure, vm + r * (apex - vm) / abs(apex - vm)).w
+        assert math.isfinite(w.imag)
+        offsets.append(w.imag - math.log(r) / (math.pi * beta))
+    assert max(offsets) - min(offsets) < 1e-7
+
+
 def test_strip_coordinate_matches_dirichlet_monte_carlo(default_domain, default_measure):
     V, hm = default_domain, default_measure
     rng = np.random.default_rng(5)

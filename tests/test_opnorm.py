@@ -14,9 +14,10 @@ from semisplit import (
     hypercontractive_time,
     lp_norm,
     opnorm_lower,
+    opnorm_lower_many,
     opnorm_oracle,
 )
-from semisplit.errors import CostGuardError, DomainError, InvalidExponentError
+from semisplit.errors import CostGuardError, DomainError, InvalidExponentError, ShapeError
 from semisplit.opnorm import (
     _ASCENT_MAX_ITER,
     _ASCENT_TOL,
@@ -304,6 +305,56 @@ def test_ascent_with_hoisted_adjoint_is_bit_identical():
                     hoisted.update(np.float64(est.value).tobytes() + est.witness.values.tobytes())
                     per_step.update(np.float64(value).tobytes() + witness.values.tobytes())
     assert hoisted.hexdigest() == per_step.hexdigest()
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_ascent_matches_one_operator_at_a_time(d):
+    # the zero operator never ascends and the identity stalls at once, so the
+    # slices of each stack leave it at different steps
+    rng = np.random.default_rng(100 + d)
+    for sp in (FiniteProbabilitySpace.uniform(d), FiniteProbabilitySpace(rng.dirichlet(np.ones(d)))):
+        real = rng.standard_normal((d, d))
+        cplx = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        ops = [OperatorMatrix.on(sp, M) for M in (real, cplx, np.zeros((d, d)), np.eye(d))]
+        for seed, (p, q) in enumerate(((1.5, 1.5), (1.5, 2.0), (2.0, 2.0), (1.2, 3.0), (1.0, 2.0))):
+            stacked = opnorm_lower_many(ops, p, q, seed=seed)
+            for A, est in zip(ops, stacked):
+                value, witness = _ascent_with_per_step_adjoint(A, p, q, seed=seed)
+                assert np.float64(est.value).tobytes() == np.float64(value).tobytes()
+                assert est.witness.values.tobytes() == witness.values.tobytes()
+                assert est.steps == opnorm_lower(A, p, q, seed=seed).steps
+
+
+def test_stacked_ascent_needs_one_domain_and_codomain():
+    a, b = FiniteProbabilitySpace.uniform(2), FiniteProbabilitySpace(np.array([0.3, 0.7]))
+    assert opnorm_lower_many([], 1.5, 2.0) == []
+    with pytest.raises(ShapeError):
+        opnorm_lower_many([OperatorMatrix.identity(a), OperatorMatrix.identity(b)], 1.5, 2.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_failed_stacked_svd_measures_one_operator_at_a_time():
+    # a NaN entry makes the stacked SVD raise; the finite operator keeps its
+    # SVD starts, without which its 2 -> 2 witness differs
+    sp = FiniteProbabilitySpace.uniform(3)
+    good = OperatorMatrix.on(sp, np.random.default_rng(0).standard_normal((3, 3)))
+    bad = OperatorMatrix.on(sp, np.where(np.eye(3) > 0, np.nan, 1.0))
+    for A, est in zip((good, bad), opnorm_lower_many([good, bad], 2.0, 2.0)):
+        one = opnorm_lower(A, 2.0, 2.0)
+        assert np.float64(est.value).tobytes() == np.float64(one.value).tobytes()
+        assert est.witness.values.tobytes() == one.witness.values.tobytes()
+
+
+def test_ascent_reports_its_steps(monkeypatch):
+    sp = FiniteProbabilitySpace.uniform(5)
+    # every ratio of the identity at p = q is 1, so three steps without gain stop it
+    assert opnorm_lower(OperatorMatrix.identity(sp), 1.5, 1.5).steps == 3
+    assert opnorm_lower(OperatorMatrix.on(sp, np.zeros((5, 5))), 1.5, 2.0).steps == 0
+    rng = np.random.default_rng(5)
+    A = OperatorMatrix.on(sp, rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    assert 3 < opnorm_lower(A, 1.5, 1.5).steps < _ASCENT_MAX_ITER
+    monkeypatch.setattr("semisplit.opnorm._ASCENT_MAX_ITER", 2)
+    assert opnorm_lower(A, 1.5, 1.5).steps == 2
 
 
 def test_oracle_one_atom_is_exact():

@@ -16,6 +16,7 @@ from semisplit import (
     harmonic_measure,
     node_constants,
     opnorm_lower,
+    opnorm_lower_many,
     opnorm_oracle,
     split,
     strip_damping,
@@ -219,7 +220,13 @@ def _count_ascents(monkeypatch):
         calls.append(A.entries.shape)
         return opnorm_lower(A, *args, **kwargs)
 
+    def counting_many(ops, *args, **kwargs):
+        ops = list(ops)
+        calls.extend(A.entries.shape for A in ops)
+        return opnorm_lower_many(ops, *args, **kwargs)
+
     monkeypatch.setattr(semisplit.splitter, "opnorm_lower", counting)
+    monkeypatch.setattr(semisplit.splitter, "opnorm_lower_many", counting_many)
     return calls
 
 
@@ -292,6 +299,21 @@ def test_split_with_node_constants_matches_split(
     shared = split(S, default_domain, default_measure, P, eps_set, nodes=nodes, **kw)
     for a, b in zip(shared, split(S, default_domain, default_measure, P, eps_set, **kw)):
         assert_same_certificate(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "make", [lambda: CubeNoiseSemigroup(3), _diagonal_semigroup], ids=["cube3", "diagonal"]
+)
+def test_node_constants_match_per_node_ascents(default_measure, make, seed):
+    S = make()
+    hm = default_measure
+    nodes = node_constants(S, hm, P, seed=seed)
+    for z, on_v1, est in zip(hm.z, hm.is_v1, nodes.estimates):
+        one = opnorm_lower(S.factor.evaluate(complex(z)), P, 2.0 if on_v1 else P, seed=seed)
+        assert np.float64(est.value).tobytes() == np.float64(one.value).tobytes()
+        assert est.witness.values.tobytes() == one.witness.values.tobytes()
+        assert est.steps == one.steps
 
 
 def test_split_rejects_mismatched_node_constants(monkeypatch, default_domain, default_measure):
