@@ -45,11 +45,15 @@ class NormEstimate:
 
     ``steps`` counts the ascent steps run for the operator (0 for the zero
     operator); below ``_ASCENT_MAX_ITER`` the ascent stopped on its stall rule.
+    ``start`` names the kind of start the witness ascended from: "atom",
+    "constant", "svd", "bifurcation" or "random" (the zero operator's witness
+    is the constant function).
     """
 
     value: float
     witness: FunctionVector
     steps: int
+    start: str
 
 
 def _colnorms(
@@ -62,8 +66,9 @@ def _colnorms(
 def _phase(Z: np.ndarray, absz: np.ndarray | None = None) -> np.ndarray:
     """Entrywise z/|z|; 0 where z is 0 or z/|z| overflows (non-finite z, subnormal |z|)."""
     absz = np.abs(Z) if absz is None else absz
+    # 0/0 is NaN, so a zero entry takes the non-finite rule too
     with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
-        ph = np.divide(Z, absz, out=np.zeros_like(Z), where=absz > 0)
+        ph = Z / absz
     if np.isfinite(ph).all():
         return ph
     return np.nan_to_num(ph, nan=0.0, posinf=0.0, neginf=0.0, copy=False)
@@ -72,9 +77,12 @@ def _phase(Z: np.ndarray, absz: np.ndarray | None = None) -> np.ndarray:
 def _dual_image(Z: np.ndarray, expo: float) -> np.ndarray:
     """Entrywise |z|^expo * phase(z); expo >= 0."""
     absz = np.abs(Z)
-    with np.errstate(invalid="ignore"):
-        mag = absz**expo if expo != 1.0 else absz
-    return mag * _phase(Z, absz)
+    ph = _phase(Z, absz)
+    if expo != 1.0:
+        with np.errstate(invalid="ignore"):
+            np.power(absz, expo, out=absz)
+    ph *= absz
+    return ph
 
 
 def _check_exponent(p: float) -> None:
@@ -131,7 +139,9 @@ def opnorm_lower_many(
         if np.any(A.entries):
             nonzero.append(i)
         else:
-            estimates[i] = NormEstimate(0.0, FunctionVector(np.ones(domain.size), domain), 0)
+            estimates[i] = NormEstimate(
+                0.0, FunctionVector(np.ones(domain.size), domain), 0, "constant"
+            )
     if not nonzero:
         return estimates
     if len(nonzero) == 1:
@@ -139,29 +149,30 @@ def opnorm_lower_many(
     else:
         M = np.stack([ops[i].entries for i in nonzero])
     try:
-        B = (np.sqrt(wout)[:, None] * M) / np.sqrt(win)[None, :]
-        _, _, vh = np.linalg.svd(B)
+        # only the two leading right singular vectors outlive the SVD
+        lead = np.linalg.svd((np.sqrt(wout)[:, None] * M) / np.sqrt(win)[None, :])[2][:, :2].copy()
     except np.linalg.LinAlgError:
         if len(nonzero) > 1:
             # one operator at a time, so only the failing one loses its SVD starts
             for i in nonzero:
                 estimates[i] = opnorm_lower_many([ops[i]], p, q, restarts, seed)[0]
             return estimates
-        vh = None
-    witnesses, steps = _ascent(M, win, wout, p, q, restarts, seed, vh)
-    for i, f, n in zip(nonzero, witnesses, steps):
+        lead = None
+    witnesses, steps, starts = _ascent(M, win, wout, p, q, restarts, seed, lead)
+    for i, f, n, start in zip(nonzero, witnesses, steps, starts):
         witness = FunctionVector(f, domain)
         value = lp_norm(apply(ops[i], witness), q) / lp_norm(witness, p)
-        estimates[i] = NormEstimate(float(value), witness, int(n))
+        estimates[i] = NormEstimate(float(value), witness, int(n), start)
     return estimates
 
 
-def _ascent(M, win, wout, p, q, restarts, seed, vh):
+def _ascent(M, win, wout, p, q, restarts, seed, lead):
     """Multistart dual ascent on a stack M of nonzero operators (L, d_out, d).
 
-    ``vh`` holds the right singular vectors of the weighted stack, or None
-    when its SVD failed.  Returns the best function found for each operator,
-    one row each, and the number of steps each one ran.
+    ``lead`` holds the (at most two) leading right singular vectors of the
+    weighted stack, or None when its SVD failed.  Returns the best function
+    found for each operator, one row each, the number of steps each one ran
+    and the kind of start each best function ascended from.
     """
     L, _, d = M.shape
     rows = np.arange(L)
@@ -175,18 +186,21 @@ def _ascent(M, win, wout, p, q, restarts, seed, vh):
     e = np.zeros((L, d, 1), dtype=complex)
     e[rows, best_ind, 0] = 1.0
     cols.append(e)
-    if vh is not None:
-        v1 = vh[:, 0].conj() / np.sqrt(win)
+    kinds = ["constant", "atom"]
+    if lead is not None:
+        v1 = lead[:, 0].conj() / np.sqrt(win)
         cols.append(v1[:, :, None])
+        kinds.append("svd")
         if d >= 2:
             # maximizers often bifurcate from a dominant mode along the next
             # singular direction; seed that family explicitly
-            v2 = vh[:, 1].conj() / np.sqrt(win)
+            v2 = lead[:, 1].conj() / np.sqrt(win)
             v2 = v2 / np.maximum(np.abs(v2).max(axis=1), 1e-300)[:, None]
             v1 = v1 / np.maximum(np.abs(v1).max(axis=1), 1e-300)[:, None]
             for c in (0.5, 1.5):
                 cols.append((v1 + c * v2)[:, :, None])
                 cols.append((v1 - c * v2)[:, :, None])
+            kinds += ["bifurcation"] * 4
     if restarts > 0:
         R = rng.standard_normal((d, restarts)) + 1j * rng.standard_normal((d, restarts))
         # positive profiles seed the basins of positivity-preserving operators,
@@ -195,6 +209,7 @@ def _ascent(M, win, wout, p, q, restarts, seed, vh):
         if half:
             R[:, :half] = np.abs(R[:, :half])
         cols.append(np.broadcast_to(R, (L, d, restarts)))
+        kinds += ["random"] * restarts
     F = np.concatenate(cols, axis=2)
 
     pconj = math.inf if p == 1.0 else p / (p - 1.0)
@@ -212,19 +227,27 @@ def _ascent(M, win, wout, p, q, restarts, seed, vh):
     best = ind_ratios.max(axis=1)
     witness = np.zeros((L, d), dtype=complex)
     witness[rows, best_ind] = 1.0
+    # column of the start each witness ascended from; the ascent is column-wise
+    won = np.ones(L, dtype=int)
     steps = np.zeros(L, dtype=int)
 
     r, G = ratios_of(M, F)
     top = r.max(axis=1)
     up = np.flatnonzero(top > best)
     best[up] = top[up]
-    witness[up] = F[up, :, r[up].argmax(axis=1)]
+    won[up] = r[up].argmax(axis=1)
+    witness[up] = F[up, :, won[up]]
 
-    MH = M.conj().transpose(0, 2, 1)
     stall = np.zeros(L, dtype=int)
     for step in range(1, _ASCENT_MAX_ITER + 1):
         U = _dual_image(G, q - 1.0)
-        H = (MH @ (wout[:, None] * U)) / win[:, None]
+        del G
+        U *= wout[:, None]
+        # M^H U as conj(M^T conj(U)): the same products, so no conjugate copy of M
+        H = M.transpose(0, 2, 1) @ np.conj(U, out=U)
+        del U
+        np.conj(H, out=H)
+        H /= win[:, None]
         if pconj == math.inf:
             # dual of L_1: concentrate on the largest coordinate
             F = np.zeros_like(H)
@@ -233,12 +256,13 @@ def _ascent(M, win, wout, p, q, restarts, seed, vh):
             F[at, idx, col] = _phase(H[at, idx, col])
         else:
             F = _dual_image(H, pconj - 1.0)
+        del H
         norms = _colnorms(F, p, win)
         dead = norms == 0
         if np.any(dead):
             F.transpose(0, 2, 1)[dead] = 1.0
             norms = _colnorms(F, p, win)
-        F = F / norms[:, None, :]
+        F /= norms[:, None, :]
         absF = np.abs(F)
         # components decaying double-exponentially toward an indicator limit
         # reach denormal range within a few iterations; flush them
@@ -251,7 +275,9 @@ def _ascent(M, win, wout, p, q, restarts, seed, vh):
         stall += 1
         if up.size:
             best[up] = top[up]
-            witness[live[up]] = F[up, :, r[up].argmax(axis=1)]
+            arg = r[up].argmax(axis=1)
+            witness[live[up]] = F[up, :, arg]
+            won[live[up]] = arg
             stall[up] = 0
         if stall.max() >= 3:
             going = stall < 3
@@ -260,10 +286,9 @@ def _ascent(M, win, wout, p, q, restarts, seed, vh):
             if not live.size:
                 break
             M, G = M[going], G[going]
-            MH = M.conj().transpose(0, 2, 1)
     # operators still ascending ran every step
     steps[live] = _ASCENT_MAX_ITER
-    return witness, steps
+    return witness, steps, [kinds[j] for j in won]
 
 
 def _fibonacci_sphere(n_points: int) -> np.ndarray:

@@ -170,17 +170,19 @@ def _split_engine(
     hm: HarmonicMeasure,
     epsilons: list[float],
     norms: tuple[Callable, Callable],
+    residual_norm: Callable,
     node_values: Sequence[float],
     power: int,
 ) -> list[SplitCertificate]:
     """One certificate per validated eps.
 
-    The (slanted, vertical) ``norms`` measure T0 and T1 respectively; C0 is
-    the largest ``node_values[i] ** power`` over the slanted nodes, C1 the
-    same over the vertical nodes, and ``norms[0]`` also measures the
-    reconstruction residual.  T0 and T1 are assembled in the spectral
-    domain: their multipliers are the damped quadrature sums of
-    exp(-z_i * spectrum), so no node operator is formed.
+    The (slanted, vertical) ``norms`` take the list of every eps's T0,
+    respectively T1, and return their norms in that order; ``residual_norm``
+    measures one reconstruction residual.  C0 is the largest
+    ``node_values[i] ** power`` over the slanted nodes, C1 the same over the
+    vertical nodes.  T0 and T1 are assembled in the spectral domain: their
+    multipliers are the damped quadrature sums of exp(-z_i * spectrum), so
+    no node operator is formed.
     """
     theta = hm.theta
     powered = [v**power for v in node_values]
@@ -190,14 +192,16 @@ def _split_engine(
     node_mults = np.exp(-np.outer(hm.z, semigroup.spectrum))
     slanted, vertical = ~hm.is_v1, hm.is_v1
     exponent = (theta - 1.0) / theta
-    certs = []
+    T0s, T1s = [], []
     for epsilon in epsilons:
         coeff = hm.weights * strip_damping(theta, epsilon, hm.w_strip)
-        T0 = semigroup.operator((coeff[slanted] / (1.0 - theta)) @ node_mults[slanted])
-        T1 = semigroup.operator((coeff[vertical] / theta) @ node_mults[vertical])
-        norm_T0 = norms[0](T0)
-        norm_T1 = norms[1](T1)
-        recon = norms[0](
+        T0s.append(semigroup.operator((coeff[slanted] / (1.0 - theta)) @ node_mults[slanted]))
+        T1s.append(semigroup.operator((coeff[vertical] / theta) @ node_mults[vertical]))
+    certs = []
+    for epsilon, T0, T1, norm_T0, norm_T1 in zip(
+        epsilons, T0s, T1s, norms[0](T0s), norms[1](T1s)
+    ):
+        recon = residual_norm(
             OperatorMatrix.on(
                 semigroup.space, Tt - ((1.0 - theta) * T0.entries + theta * T1.entries)
             )
@@ -256,9 +260,10 @@ def split(
     certs = _split_engine(
         semigroup, domain, hm, epsilons,
         (
-            lambda A: opnorm_lower(A, p, p, restarts=restarts, seed=seed).value,
-            lambda A: opnorm_lower(A, p, 2.0, restarts=restarts, seed=seed).value,
+            lambda ops: [est.value for est in opnorm_lower_many(ops, p, p, restarts, seed)],
+            lambda ops: [est.value for est in opnorm_lower_many(ops, p, 2.0, restarts, seed)],
         ),
+        lambda A: opnorm_lower(A, p, p, restarts=restarts, seed=seed).value,
         nodes.values,
         semigroup.power,
     )
@@ -301,13 +306,15 @@ def approximant(
     Tt = semigroup.evaluate(domain.t).entries
     tprime_entries = theta * cert.T1.entries
     tprime = OperatorMatrix.on(space, tprime_entries)
-    approx_error = opnorm_lower(
-        OperatorMatrix.on(space, Tt - tprime_entries), p, p, restarts=restarts, seed=seed
-    ).value
+    approx_error, unscaled = (
+        est.value
+        for est in opnorm_lower_many(
+            [OperatorMatrix.on(space, Tt - tprime_entries),
+             OperatorMatrix.on(space, Tt - cert.T1.entries)],
+            p, p, restarts, seed,
+        )
+    )
     gamma2_norm = opnorm_lower(tprime, p, 2.0, restarts=restarts, seed=seed).value
-    unscaled = opnorm_lower(
-        OperatorMatrix.on(space, Tt - cert.T1.entries), p, p, restarts=restarts, seed=seed
-    ).value
     budget = (1.0 - theta) * cert.C0_measured * cert.epsilon * (1.0 + PADDING)
     if approx_error > budget:
         raise ConvergenceError(

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import semisplit
 from semisplit.cli import RESULTS_HEADER, main
 
 
@@ -147,8 +150,12 @@ def test_corollary_degenerate_basis(tmp_path):
 
 
 def test_entry_point_help():
+    # the subprocess imports the package this test run imported, installed or not
+    src = str(Path(semisplit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, "-m", "semisplit.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "semisplit.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     for sub in ("split", "dimsweep", "corollary", "checks"):

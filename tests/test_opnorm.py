@@ -23,7 +23,6 @@ from semisplit.opnorm import (
     _ASCENT_TOL,
     _ORACLE_RANDOM_DIRECTIONS,
     _colnorms,
-    _dual_image,
     _fibonacci_sphere,
     _phase,
 )
@@ -203,15 +202,40 @@ def test_batched_oracle_polish_matches_one_candidate_walk(d):
                 assert opnorm_oracle(A, p, q, seed=seed) == pytest.approx(ref, rel=1e-12)
 
 
+def _ref_colnorms(F, p, w, absF=None):
+    return (w @ (np.abs(F) if absF is None else absF) ** p) ** (1.0 / p)
+
+
+def _ref_phase(Z, absz=None):
+    absz = np.abs(Z) if absz is None else absz
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore", under="ignore"):
+        ph = np.divide(Z, absz, out=np.zeros_like(Z), where=absz > 0)
+    if np.isfinite(ph).all():
+        return ph
+    return np.nan_to_num(ph, nan=0.0, posinf=0.0, neginf=0.0, copy=False)
+
+
+def _ref_dual_image(Z, expo):
+    absz = np.abs(Z)
+    with np.errstate(invalid="ignore"):
+        mag = absz**expo if expo != 1.0 else absz
+    return mag * _ref_phase(Z, absz)
+
+
 def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
-    """opnorm_lower as it was written first: M.conj().T is formed on every step."""
+    """opnorm_lower as it was written first: M.conj().T is formed on every step.
+
+    It runs on frozen copies of the column-norm, phase and dual-image helpers
+    as they were first written, so the library's helpers are checked against
+    them rather than against themselves.
+    """
     M = A.entries
     win = A.domain.weights
     wout = A.codomain.weights
     d = A.domain.size
     if not np.any(M):
         return 0.0, FunctionVector(np.ones(d), A.domain)
-    ind_ratios = _colnorms(M, q, wout) / win ** (1.0 / p)
+    ind_ratios = _ref_colnorms(M, q, wout) / win ** (1.0 / p)
     best_ind = int(np.argmax(ind_ratios))
     rng = np.random.default_rng(seed)
     cols = [np.ones((d, 1), dtype=complex)]
@@ -239,9 +263,9 @@ def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
     pconj = math.inf if p == 1.0 else p / (p - 1.0)
 
     def ratios_of(F, absF=None):
-        fp = _colnorms(F, p, win, absF)
+        fp = _ref_colnorms(F, p, win, absF)
         G = M @ F
-        gq = _colnorms(G, q, wout)
+        gq = _ref_colnorms(G, q, wout)
         with np.errstate(invalid="ignore", divide="ignore"):
             r = np.where(fp > 0, gq / np.where(fp > 0, fp, 1.0), 0.0)
         return r, G, fp
@@ -255,19 +279,19 @@ def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
         witness_vec = F[:, int(np.argmax(r))].copy()
     stall = 0
     for _ in range(_ASCENT_MAX_ITER):
-        U = _dual_image(G, q - 1.0)
+        U = _ref_dual_image(G, q - 1.0)
         H = (M.conj().T @ (wout[:, None] * U)) / win[:, None]
         if pconj == math.inf:
             F = np.zeros_like(H)
             idx = np.argmax(np.abs(H), axis=0)
-            F[idx, np.arange(H.shape[1])] = _phase(H[idx, np.arange(H.shape[1])])
+            F[idx, np.arange(H.shape[1])] = _ref_phase(H[idx, np.arange(H.shape[1])])
         else:
-            F = _dual_image(H, pconj - 1.0)
-        norms = _colnorms(F, p, win)
+            F = _ref_dual_image(H, pconj - 1.0)
+        norms = _ref_colnorms(F, p, win)
         dead = norms == 0
         if np.any(dead):
             F[:, dead] = 1.0
-            norms = _colnorms(F, p, win)
+            norms = _ref_colnorms(F, p, win)
         F = F / norms[None, :]
         absF = np.abs(F)
         tiny = absF < 1e-250
@@ -322,7 +346,8 @@ def test_stacked_ascent_matches_one_operator_at_a_time(d):
                 value, witness = _ascent_with_per_step_adjoint(A, p, q, seed=seed)
                 assert np.float64(est.value).tobytes() == np.float64(value).tobytes()
                 assert est.witness.values.tobytes() == witness.values.tobytes()
-                assert est.steps == opnorm_lower(A, p, q, seed=seed).steps
+                one = opnorm_lower(A, p, q, seed=seed)
+                assert (est.steps, est.start) == (one.steps, one.start)
 
 
 def test_stacked_ascent_needs_one_domain_and_codomain():
@@ -355,6 +380,20 @@ def test_ascent_reports_its_steps(monkeypatch):
     assert 3 < opnorm_lower(A, 1.5, 1.5).steps < _ASCENT_MAX_ITER
     monkeypatch.setattr("semisplit.opnorm._ASCENT_MAX_ITER", 2)
     assert opnorm_lower(A, 1.5, 1.5).steps == 2
+
+
+def test_ascent_reports_its_start():
+    sp = FiniteProbabilitySpace.uniform(5)
+    # no start beats the identity's best atom, whose ratio is exactly 1
+    assert opnorm_lower(OperatorMatrix.identity(sp), 1.5, 1.5).start == "atom"
+    assert opnorm_lower(OperatorMatrix.on(sp, np.zeros((5, 5))), 1.5, 2.0).start == "constant"
+    rng = np.random.default_rng(5)
+    A = OperatorMatrix.on(sp, rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    # the top singular vector is the 2 -> 2 maximizer; no other start beats it by the tolerance
+    assert opnorm_lower(A, 2.0, 2.0).start == "svd"
+    kinds = {"atom", "constant", "svd", "bifurcation", "random"}
+    assert {opnorm_lower(A, p, q, seed=s).start
+            for s in range(4) for p, q in ((1.5, 1.5), (1.2, 3.0), (1.0, 2.0))} <= kinds
 
 
 def test_oracle_one_atom_is_exact():

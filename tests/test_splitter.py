@@ -185,6 +185,21 @@ def test_split_diagonal_semigroup(default_domain, default_measure):
         assert cert.bound_T0_ok and cert.bound_T1_ok
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: CubeNoiseSemigroup(3), _diagonal_semigroup], ids=["cube3", "diagonal"]
+)
+def test_approximant_stacked_ascents_match_separate_calls(default_domain, default_measure, make):
+    S = make()
+    cert = split(S, default_domain, default_measure, P, 1e-2, restarts=8, seed=0,
+                 oracle_check=False)
+    res = approximant(S, default_domain, cert, P, restarts=8, seed=0)
+    Tt = S.evaluate(default_domain.t).entries
+    for value, entries in ((res.approx_error, Tt - res.tprime.entries),
+                           (res.unscaled_gap, Tt - cert.T1.entries)):
+        one = opnorm_lower(OperatorMatrix.on(S.space, entries), P, P, restarts=8, seed=0)
+        assert np.float64(value).tobytes() == np.float64(one.value).tobytes()
+
+
 def test_split_sequence_matches_per_eps_cube(
     default_domain, default_measure, cube3, assert_same_certificate
 ):
@@ -268,6 +283,42 @@ def test_dimension_sweep_measures_node_norms_once(monkeypatch, default_domain, d
     # the one-bit node norms once, then T0, T1 and the residual per cube size
     assert len(calls) == nodes + 3 * 3
     assert calls[:nodes] == [(2, 2)] * nodes
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: CubeNoiseSemigroup(3), _diagonal_semigroup], ids=["cube3", "diagonal"]
+)
+def test_split_stacks_t0_and_t1_over_its_damping_levels(
+    monkeypatch, default_domain, default_measure, assert_same_certificate, make
+):
+    import semisplit.splitter
+
+    calls = []
+
+    def one(A, p, q, *args, **kwargs):
+        calls.append(("one", q))
+        return opnorm_lower(A, p, q, *args, **kwargs)
+
+    def many(ops, p, q, *args, **kwargs):
+        ops = list(ops)
+        calls.append(("many", q, len(ops)))
+        return opnorm_lower_many(ops, p, q, *args, **kwargs)
+
+    monkeypatch.setattr(semisplit.splitter, "opnorm_lower", one)
+    monkeypatch.setattr(semisplit.splitter, "opnorm_lower_many", many)
+    S = make()
+    hm = default_measure
+    eps_set = (1e-1, 1e-2, 1e-3, 1e-4)
+    kw = dict(restarts=8, seed=0, oracle_check=False)
+    certs = split(S, default_domain, hm, P, eps_set, **kw)
+    slanted, vertical = int((~hm.is_v1).sum()), int(hm.is_v1.sum())
+    # the node stacks, one stack of the T0s, one of the T1s, one residual per eps
+    k = len(eps_set)
+    assert calls == [("many", P, slanted), ("many", 2.0, vertical),
+                     ("many", P, k), ("many", 2.0, k)] + [("one", P)] * k
+    nodes = node_constants(S, hm, P, restarts=8, seed=0)
+    for eps, cert in zip(eps_set, certs):
+        assert_same_certificate(cert, split(S, default_domain, hm, P, eps, nodes=nodes, **kw))
 
 
 @pytest.mark.parametrize(
