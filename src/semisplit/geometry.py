@@ -391,6 +391,9 @@ class _TriangleMap:
         y = 0.0
         for _ in range(80):
             zeta = 1.0 + q * math.exp(math.pi * y)
+            if zeta == 1.0:
+                # rounded onto the prevertex of s+a-ib, where f gives NaN
+                raise ConvergenceError(f"vertical-edge inversion reached the corner at {z}")
             err = self.f(zeta) - z
             if abs(err) <= 1e-14 * (1.0 + abs(z)):
                 return zeta
@@ -408,8 +411,13 @@ class _TriangleMap:
         z = complex(z)
         sa = self.domain.s + self.domain.a
         if abs(z.real - sa) <= 1e-11 * self.domain.scale and abs(z.imag) < self.domain.b:
-            zeta = self._invert_vertical(z)
-            return zeta, 1.0 - zeta
+            # the Newton step in the strip ordinate stalls near the corners of
+            # V1; there the corner charts below take over
+            try:
+                zeta = self._invert_vertical(z)
+                return zeta, 1.0 - zeta
+            except ConvergenceError:
+                pass
         try:
             found = self._invert_corner(z)
         except ConvergenceError:

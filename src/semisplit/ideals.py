@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .geometry import HarmonicMeasure, TriangleDomain
-from .opnorm import DEFAULT_RESTARTS, opnorm_lower
+from .opnorm import DEFAULT_RESTARTS, _check_p, opnorm_lower
 from .spaces import OperatorMatrix, compose
 from .splitter import SplitCertificate, _split_engine, _validated_epsilons
 
@@ -40,8 +40,7 @@ class IdealNorm:
 
 def make_gamma2(p: float, restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> IdealNorm:
     """The norm of an operator viewed from L_p into L_2; C = 1."""
-    if not (1.0 < p < 2.0):
-        raise DomainError(f"need 1 < p < 2, got {p}")
+    _check_p(p)
 
     def gamma(A: OperatorMatrix) -> float:
         return opnorm_lower(A, p, 2.0, restarts=restarts, seed=seed).value

@@ -90,6 +90,12 @@ def _check_exponent(p: float) -> None:
         raise InvalidExponentError(f"exponent must be a finite real >= 1, got {p}")
 
 
+def _check_p(p: float) -> None:
+    """Reject p outside 1 < p < 2, the range of the splitting construction."""
+    if not (1.0 < p < 2.0):
+        raise DomainError(f"need 1 < p < 2, got {p}")
+
+
 def opnorm_lower(
     A: OperatorMatrix,
     p: float,
@@ -381,17 +387,16 @@ def hypercontractive_time(p: float, semigroup) -> float:
 
     Returns s* = -(1/2) log(p-1) and verifies the threshold numerically: the
     p->2 norm at s* must not exceed 1 + 1e-3, and at 0.9 s* it must exceed
-    1 + 1e-3 (the latter checked for n >= 2 where the excess is comfortable).
+    1 + 1e-3 (the latter checked for power >= 2 where the excess is comfortable).
     """
-    if not (1.0 < p < 2.0):
-        raise DomainError(f"need 1 < p < 2, got {p}")
+    _check_p(p)
     s_star = -0.5 * math.log(p - 1.0)
     at = opnorm_lower(semigroup.evaluate(s_star), p, 2.0, seed=7)
     if at.value > 1.0 + 1e-3:
         raise ConvergenceError(
             f"norm at the threshold came out {at.value}, above 1 + 1e-3"
         )
-    if getattr(semigroup, "n", 0) >= 2:
+    if semigroup.power >= 2:
         below = opnorm_lower(semigroup.evaluate(0.9 * s_star), p, 2.0, seed=7)
         if not below.value > 1.0 + 1e-3:
             raise ConvergenceError(

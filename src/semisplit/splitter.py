@@ -25,6 +25,7 @@ from .opnorm import (
     DEFAULT_RESTARTS,
     ORACLE_DIM_LIMIT,
     NormEstimate,
+    _check_p,
     opnorm_lower,
     opnorm_lower_many,
     opnorm_oracle,
@@ -70,11 +71,6 @@ class SplitCertificate:
     bound_T1_ok: bool
     C0_node: int
     C1_node: int
-
-
-def _check_p(p: float) -> None:
-    if not (1.0 < p < 2.0):
-        raise DomainError(f"need 1 < p < 2, got {p}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,23 @@ def test_strip_coordinate_is_finite_near_the_corner_s_plus_a_minus_ib(
         assert math.isfinite(w.imag)
         offsets.append(w.imag - math.log(r) / (math.pi * beta))
     assert max(offsets) - min(offsets) < 1e-7
+
+
+def test_strip_coordinate_is_finite_on_v1_near_the_corner_s_plus_a_minus_ib(
+    default_domain, default_measure
+):
+    # the same corner law along the vertical edge: Im w falls by
+    # ln(10) / (pi beta) per decade of distance, with Re w = 1 throughout
+    V = default_domain
+    apex, vp, vm = V.vertices
+    beta = abs(cmath.phase((apex - vm) / (vp - vm))) / math.pi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ws = [strip_coordinate(V, default_measure, vm + 1j * 10.0**-k).w for k in range(3, 9)]
+    assert all(math.isfinite(w.imag) and w.real == 1.0 for w in ws)
+    decade = math.log(10) / (math.pi * beta)
+    for w_far, w_near in zip(ws, ws[1:]):
+        assert (w_far.imag - w_near.imag) == pytest.approx(decade, rel=1e-8)
 
 
 def test_strip_coordinate_matches_dirichlet_monte_carlo(default_domain, default_measure):

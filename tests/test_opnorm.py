@@ -13,9 +13,12 @@ from semisplit import (
     compose,
     hypercontractive_time,
     lp_norm,
+    make_gamma2,
+    node_constants,
     opnorm_lower,
     opnorm_lower_many,
     opnorm_oracle,
+    split,
 )
 from semisplit.errors import CostGuardError, DomainError, InvalidExponentError, ShapeError
 from semisplit.opnorm import (
@@ -423,11 +426,20 @@ def test_hypercontractive_time_values():
     assert -0.5 * math.log(1.999 - 1.0) == pytest.approx(0.0, abs=1e-3)
 
 
-def test_hypercontractive_time_rejects_bad_p():
+def test_hypercontractive_time_rejects_bad_p(default_domain, default_measure):
+    # every entry point that needs 1 < p < 2 shares one guard and one message
     S = CubeNoiseSemigroup(2)
+    V, hm = default_domain, default_measure
+    entry_points = (
+        lambda p: hypercontractive_time(p, S),
+        lambda p: split(S, V, hm, p, 0.1),
+        lambda p: node_constants(S, hm, p),
+        make_gamma2,
+    )
     for p in (1.0, 2.0, 2.5, 0.7):
-        with pytest.raises(DomainError):
-            hypercontractive_time(p, S)
+        for call in entry_points:
+            with pytest.raises(DomainError, match=f"need 1 < p < 2, got {p}"):
+                call(p)
 
 
 def test_phase_maps_zero_and_non_finite_entries_to_zero():

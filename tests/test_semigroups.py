@@ -2,20 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from semisplit import (
-    ComplexTime,
     CubeNoiseSemigroup,
     DiagonalMultiplierSemigroup,
     FiniteProbabilitySpace,
     FunctionVector,
     OperatorMatrix,
-    evaluate,
     inverse_walsh_transform,
     semigroup_property_check,
     walsh_transform,
 )
 from semisplit.errors import CostGuardError, DomainError, ShapeError
+from semisplit.semigroups import subset_sizes
 
 
 def test_cube_size_above_cap_raises_cost_guard():
@@ -26,7 +26,7 @@ def test_cube_size_above_cap_raises_cost_guard():
 def test_evaluate_at_zero_is_identity():
     for n in (1, 2, 3):
         S = CubeNoiseSemigroup(n)
-        np.testing.assert_allclose(evaluate(S, 0.0).entries, np.eye(2**n), atol=1e-14)
+        np.testing.assert_allclose(S.evaluate(0.0).entries, np.eye(2**n), atol=1e-14)
 
 
 def test_evaluate_one_bit_formula():
@@ -34,12 +34,12 @@ def test_evaluate_one_bit_formula():
     t = 0.8
     e = math.exp(-t)
     expected = np.array([[(1 + e) / 2, (1 - e) / 2], [(1 - e) / 2, (1 + e) / 2]])
-    np.testing.assert_allclose(evaluate(S, t).entries, expected, atol=1e-15)
+    np.testing.assert_allclose(S.evaluate(t).entries, expected, atol=1e-15)
 
 
 def test_evaluate_imaginary_time_multipliers():
     S = CubeNoiseSemigroup(2)
-    M = evaluate(S, 1j * math.pi)
+    M = S.evaluate(1j * math.pi)
     # recover the multiplier on each character: sizes (0,1,1,2) -> (1,-1,-1,1)
     for idx, expect in zip(range(4), (1, -1, -1, 1)):
         char = inverse_walsh_transform(FunctionVector(np.eye(4)[idx], S.space))
@@ -50,9 +50,7 @@ def test_evaluate_imaginary_time_multipliers():
 def test_evaluate_rejects_negative_real_part():
     S = CubeNoiseSemigroup(2)
     with pytest.raises(DomainError):
-        evaluate(S, -0.1)
-    with pytest.raises(DomainError):
-        ComplexTime(-0.2 + 1j)
+        S.evaluate(-0.1)
 
 
 def test_walsh_normalization_and_characters():
@@ -122,7 +120,7 @@ def test_diagonal_semigroup_validation():
 def test_cube_matrix_is_stochastic_for_real_time():
     S = CubeNoiseSemigroup(3)
     for t in (0.1, 0.7, 2.0):
-        M = evaluate(S, t).entries
+        M = S.evaluate(t).entries
         assert M.real.min() >= -1e-15
         assert np.abs(M.imag).max() <= 1e-15
         np.testing.assert_allclose(M.sum(axis=1).real, 1.0, atol=1e-13)
@@ -134,7 +132,7 @@ def test_evaluate_is_analytic_in_z():
     exact = -(S._basis * (S.spectrum * np.exp(-z0 * S.spectrum))) @ S._basis_inv
     errs = []
     for h in (1e-3, 1e-4):
-        fd = (evaluate(S, z0 + h).entries - evaluate(S, z0 - h).entries) / (2 * h)
+        fd = (S.evaluate(z0 + h).entries - S.evaluate(z0 - h).entries) / (2 * h)
         errs.append(np.abs(fd - exact).max())
     assert errs[0] <= 1e-4
     ratio = errs[0] / errs[1]
@@ -148,6 +146,28 @@ def test_evaluate_is_operator_of_exponential_spectrum():
         for z in (0.0, 0.35, 0.2 - 1.3j, 2.0 + 0.5j):
             expected = S.operator(np.exp(-z * S.spectrum)).entries
             assert np.array_equal(S.evaluate(z).entries, expected)
+
+
+def test_cube_is_the_diagonal_semigroup_on_the_hadamard_basis():
+    for n in range(1, 9):
+        S = CubeNoiseSemigroup(n)
+        assert isinstance(S, DiagonalMultiplierSemigroup)
+        assert S.condition_number == 1.0
+        general = DiagonalMultiplierSemigroup(
+            OperatorMatrix.on(S.space, hadamard(2**n)), subset_sizes(n)
+        )
+        for z in (0.0, 0.35, 0.2 - 1.3j, 2.0 + 0.5j):
+            assert np.array_equal(S.evaluate(z).entries, general.evaluate(z).entries)
+
+
+def test_cube_builds_without_inverting_its_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cube's basis inverse is known exactly")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "cond", refuse)
+    S = CubeNoiseSemigroup(10)
+    assert S.space.size == 1024 and S.condition_number == 1.0
 
 
 def test_cube_is_tensor_power_of_one_bit_factor():
