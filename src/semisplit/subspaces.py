@@ -8,10 +8,10 @@ idempotence are the measurable content.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConditioningError, ConvergenceError
 from .opnorm import DEFAULT_RESTARTS, opnorm_lower
@@ -65,6 +65,10 @@ class Subspace:
 
 def _ratio_extremum(T: OperatorMatrix, X: Subspace, p: float, maximize: bool,
                     restarts: int, seed: int) -> float:
+    # imported here, not with the package: no other code needs scipy.optimize,
+    # which loads over 200 modules
+    from scipy.optimize import minimize
+
     B = X.matrix
     TB = T.entries @ B
     w_in = X.space.weights
@@ -83,15 +87,25 @@ def _ratio_extremum(T: OperatorMatrix, X: Subspace, p: float, maximize: bool,
         if den < 1e-14:
             return 0.0 if maximize else np.inf
         num = float(np.add.reduce(w_out * np.abs(g) ** p) ** inv_p)
-        return num / den
+        r = num / den
+        if not math.isfinite(r):
+            raise ConvergenceError(
+                f"||Tf||_p / ||f||_p is {r}: T has non-finite or overflowing entries"
+            )
+        return r
 
     rng = np.random.default_rng(seed)
     starts = [np.eye(2 * k)[j] for j in range(k)]
     starts += [rng.standard_normal(2 * k) for _ in range(restarts)]
     best = -np.inf if maximize else np.inf
+    # only the extremum's value is returned, never its argmin, so the search
+    # stops once the simplex values agree (fatol) however wide the simplex
+    # still is: xatol=inf, since scipy's default 1e-4 would keep shrinking it
+    # along the ratio's flat directions (the scale and phase of c, and all of
+    # them when T is a scalar on X)
     for x0 in starts:
         res = minimize(lambda x: sign * ratio(x), x0, method="Nelder-Mead",
-                       options={"maxiter": 4000, "xatol": 1e-12, "fatol": 1e-14})
+                       options={"maxiter": 4000, "xatol": np.inf, "fatol": 1e-14})
         val = sign * res.fun
         best = max(best, val) if maximize else min(best, val)
         direct = ratio(x0)
@@ -130,7 +144,8 @@ def build_projection(
     Returns (P, ||P||_{p->p}).
     """
     lower, _ = restricted_isomorphism_check(T, X, p, restarts=4, seed=seed)
-    if lower <= 1e-8:
+    # every guard below is written so that a NaN fails it
+    if not lower > 1e-8:
         raise ConditioningError(
             f"restriction of T to X is numerically singular (lower bound {lower})"
         )
@@ -138,17 +153,19 @@ def build_projection(
     TB = T.entries @ B
     w = T.codomain.weights
     gram = TB.conj().T @ (w[:, None] * TB)
+    if not np.isfinite(gram).all():
+        raise ConditioningError("image Gram matrix has non-finite entries")
     cond = float(np.linalg.cond(gram))
-    if cond > _COND_LIMIT:
+    if not cond <= _COND_LIMIT:
         raise ConditioningError(f"image Gram matrix has condition number {cond}")
     coeff = np.linalg.solve(gram, TB.conj().T @ (w[:, None] * T.entries))
     P_entries = B @ coeff
     P = OperatorMatrix.on(X.space, P_entries)
     idem = float(np.abs(P_entries @ P_entries - P_entries).max())
-    if idem > 1e-9:
+    if not idem <= 1e-9:
         raise ConvergenceError(f"projection is not idempotent: residual {idem}")
     fix = float(np.abs(P_entries @ B - B).max())
-    if fix > 1e-9:
+    if not fix <= 1e-9:
         raise ConvergenceError(f"projection does not fix the subspace: residual {fix}")
     norm_pp = opnorm_lower(P, p, p, restarts=restarts, seed=seed).value
     return P, float(norm_pp)

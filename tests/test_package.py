@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +35,17 @@ def test_perfbench_trace_targets_resolve():
         owner_name, _, attr = attr_path.rpartition(".")
         owner = getattr(module, owner_name) if owner_name else module
         assert attr in vars(owner), f"{module_name}.{attr_path}"
+
+
+def test_import_does_not_load_scipy_optimize():
+    # only the corollary's Nelder-Mead search needs scipy.optimize (~240
+    # modules); it is imported where that search runs, not with the package
+    src = str(Path(semisplit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, semisplit, semisplit.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
