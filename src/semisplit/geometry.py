@@ -77,6 +77,9 @@ class TriangleDomain:
     t: float
 
     def __post_init__(self):
+        for name in ("s", "a", "b", "t"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("s", "a", "b"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")

@@ -20,7 +20,7 @@ from .errors import (
     InvalidExponentError,
     ShapeError,
 )
-from .spaces import FunctionVector, OperatorMatrix, apply, lp_norm
+from .spaces import FunctionVector, OperatorMatrix, apply, hadamard_transform, lp_norm
 
 __all__ = [
     "NormEstimate",
@@ -37,6 +37,9 @@ ORACLE_DIM_LIMIT = 6
 _ORACLE_RANDOM_DIRECTIONS = 100_000
 _ASCENT_MAX_ITER = 500
 _ASCENT_TOL = 1e-12
+# from this many atoms on, a stack of Walsh multipliers is applied by the fast
+# transform; below it the dense product is faster (measured crossover)
+_WALSH_MIN_ATOMS = 128
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,12 @@ def opnorm_lower_many(
     steps and stall rule of its own call, on the same random block, so each
     estimate equals ``opnorm_lower(A, p, q, restarts, seed)`` bit for bit; an
     operator leaves the stack as soon as its ascent stops.
+
+    When every operator carries a Walsh multiplier (``OperatorMatrix.walsh``)
+    and the space has at least ``_WALSH_MIN_ATOMS`` atoms, the ascent steps
+    apply them by :func:`hadamard_transform`; the atom scores, the SVD starts
+    and each value still come from the dense entries.  Non-finite entries
+    raise DomainError, a non-finite value ConvergenceError.
     """
     _check_exponent(p)
     _check_exponent(q)
@@ -137,6 +146,7 @@ def opnorm_lower_many(
     domain, codomain = ops[0].domain, ops[0].codomain
     if any(A.domain != domain or A.codomain != codomain for A in ops):
         raise ShapeError("stacked operators must share a domain and a codomain")
+    _check_finite(ops)
     win = domain.weights
     wout = codomain.weights
     estimates: list[NormEstimate | None] = [None] * len(ops)
@@ -164,21 +174,43 @@ def opnorm_lower_many(
                 estimates[i] = opnorm_lower_many([ops[i]], p, q, restarts, seed)[0]
             return estimates
         lead = None
-    witnesses, steps, starts = _ascent(M, win, wout, p, q, restarts, seed, lead)
+    mult = None
+    if domain.size >= _WALSH_MIN_ATOMS and all(ops[i].walsh is not None for i in nonzero):
+        mult = np.stack([ops[i].walsh for i in nonzero]) / domain.size
+    witnesses, steps, starts = _ascent(M, mult, win, wout, p, q, restarts, seed, lead)
     for i, f, n, start in zip(nonzero, witnesses, steps, starts):
         witness = FunctionVector(f, domain)
         value = lp_norm(apply(ops[i], witness), q) / lp_norm(witness, p)
+        if not math.isfinite(value):
+            raise ConvergenceError(f"the ascent's witness gives a non-finite ratio {value}")
         estimates[i] = NormEstimate(float(value), witness, int(n), start)
     return estimates
 
 
-def _ascent(M, win, wout, p, q, restarts, seed, lead):
+def _check_finite(ops: Sequence[OperatorMatrix]) -> None:
+    for A in ops:
+        if not np.isfinite(A.entries).all():
+            raise DomainError("operator entries must be finite")
+
+
+def _walsh_product(mult: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """H diag(mult[l]) H @ F[l] for each l: (L, d) multipliers on an (L, d, k) block."""
+    G = hadamard_transform(F)
+    G *= mult[:, :, None]
+    return hadamard_transform(G)
+
+
+def _ascent(M, mult, win, wout, p, q, restarts, seed, lead):
     """Multistart dual ascent on a stack M of nonzero operators (L, d_out, d).
 
-    ``lead`` holds the (at most two) leading right singular vectors of the
-    weighted stack, or None when its SVD failed.  Returns the best function
-    found for each operator, one row each, the number of steps each one ran
-    and the kind of start each best function ascended from.
+    ``mult`` is None, or the (L, d) stack of Walsh multipliers divided by d
+    whose operators M holds: the steps then apply each operator as
+    H diag(mult) H by :func:`_walsh_product`, its adjoint with conj(mult), and
+    use M only for the atom scores.  ``lead`` holds the (at most two) leading
+    right singular vectors of the weighted stack, or None when its SVD failed.
+    Returns the best function found for each operator, one row each, the
+    number of steps each one ran and the kind of start each best function
+    ascended from.
     """
     L, _, d = M.shape
     rows = np.arange(L)
@@ -220,9 +252,9 @@ def _ascent(M, win, wout, p, q, restarts, seed, lead):
 
     pconj = math.inf if p == 1.0 else p / (p - 1.0)
 
-    def ratios_of(M, F, absF=None):
+    def ratios_of(F, absF=None):
         fp = _colnorms(F, p, win, absF)
-        G = M @ F
+        G = M @ F if mult is None else _walsh_product(mult, F)
         gq = _colnorms(G, q, wout)
         with np.errstate(invalid="ignore", divide="ignore"):
             r = np.where(fp > 0, gq / np.where(fp > 0, fp, 1.0), 0.0)
@@ -237,7 +269,7 @@ def _ascent(M, win, wout, p, q, restarts, seed, lead):
     won = np.ones(L, dtype=int)
     steps = np.zeros(L, dtype=int)
 
-    r, G = ratios_of(M, F)
+    r, G = ratios_of(F)
     top = r.max(axis=1)
     up = np.flatnonzero(top > best)
     best[up] = top[up]
@@ -249,10 +281,14 @@ def _ascent(M, win, wout, p, q, restarts, seed, lead):
         U = _dual_image(G, q - 1.0)
         del G
         U *= wout[:, None]
-        # M^H U as conj(M^T conj(U)): the same products, so no conjugate copy of M
-        H = M.transpose(0, 2, 1) @ np.conj(U, out=U)
-        del U
-        np.conj(H, out=H)
+        if mult is None:
+            # M^H U as conj(M^T conj(U)): the same products, so no conjugate copy of M
+            H = M.transpose(0, 2, 1) @ np.conj(U, out=U)
+            del U
+            np.conj(H, out=H)
+        else:
+            H = _walsh_product(mult.conj(), U)
+            del U
         H /= win[:, None]
         if pconj == math.inf:
             # dual of L_1: concentrate on the largest coordinate
@@ -275,7 +311,7 @@ def _ascent(M, win, wout, p, q, restarts, seed, lead):
         tiny = absF < 1e-250
         F[tiny] = 0.0
         absF[tiny] = 0.0
-        r, G = ratios_of(M, F, absF)
+        r, G = ratios_of(F, absF)
         top = r.max(axis=1)
         up = np.flatnonzero(top > best + _ASCENT_TOL * np.maximum(1.0, best))
         stall += 1
@@ -291,7 +327,11 @@ def _ascent(M, win, wout, p, q, restarts, seed, lead):
             live, best, stall = live[going], best[going], stall[going]
             if not live.size:
                 break
-            M, G = M[going], G[going]
+            G = G[going]
+            if mult is None:
+                M = M[going]
+            else:
+                mult = mult[going]
     # operators still ascending ran every step
     steps[live] = _ASCENT_MAX_ITER
     return witness, steps, [kinds[j] for j in won]
@@ -317,13 +357,15 @@ def opnorm_oracle(A: OperatorMatrix, p: float, q: float, seed: int = 0) -> float
     every candidate, and a candidate moves to its best trial when that beats
     its value.  The noise is drawn up front in the order a one-candidate-at-a-
     time walk would draw it, so the search set is unchanged.  Guarded to input
-    dimension <= ORACLE_DIM_LIMIT.
+    dimension <= ORACLE_DIM_LIMIT; non-finite entries raise DomainError, a
+    non-finite value ConvergenceError.
     """
     _check_exponent(p)
     _check_exponent(q)
     d = A.domain.size
     if d > ORACLE_DIM_LIMIT:
         raise CostGuardError(f"oracle is limited to dimension {ORACLE_DIM_LIMIT}, got {d}")
+    _check_finite([A])
     M = A.entries
     if not np.any(M):
         return 0.0
@@ -379,7 +421,10 @@ def opnorm_oracle(A: OperatorMatrix, p: float, q: float, seed: int = 0) -> float
     if val[j] > best:
         best_f = f[j]
     fr = best_f / _colnorms(best_f[:, None], p, win)[0]
-    return float(ratio(fr[:, None])[0])
+    value = float(ratio(fr[:, None])[0])
+    if not math.isfinite(value):
+        raise ConvergenceError(f"the oracle's best direction gives a non-finite ratio {value}")
+    return value
 
 
 def hypercontractive_time(p: float, semigroup) -> float:

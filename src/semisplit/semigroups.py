@@ -9,16 +9,20 @@ of ``factor``.
 The noise semigroup on functions of n signs is the Hadamard-basis instance:
 the Walsh character indexed by the subset S has eigenvalue |S|.  Subsets S
 are enumerated by a binary counter: bit i of the index means i in S, so |S|
-is the popcount and the fast transform is index-stable.
+is the popcount and the fast transform is index-stable.  Its operators
+carry their multiplier (``OperatorMatrix.walsh``), so a norm ascent can apply
+them by the fast transform instead of the dense entries.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 from scipy.linalg import hadamard
 
 from .errors import CostGuardError, DomainError, ShapeError
-from .spaces import FiniteProbabilitySpace, FunctionVector, OperatorMatrix
+from .spaces import FiniteProbabilitySpace, FunctionVector, OperatorMatrix, hadamard_transform
 
 __all__ = [
     "CubeNoiseSemigroup",
@@ -40,39 +44,18 @@ def _as_time(z) -> complex:
     return zc
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform (butterfly, O(n 2^n))."""
-    a = np.array(values, dtype=complex)
-    n = a.size
-    h = 1
-    while h < n:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a = np.stack([top, bot], axis=1).reshape(-1)
-        h *= 2
-    return a
-
-
-def _check_power_of_two(size: int) -> None:
-    if size < 1 or size & (size - 1):
-        raise ShapeError(f"length must be a power of 2, got {size}")
-
-
 def walsh_transform(f: FunctionVector) -> FunctionVector:
     """Walsh-Fourier coefficients of f, indexed by subsets.
 
     Normalized so the transform of the constant 1 is the indicator of the
     empty set: coefficient(S) = E[f * character_S] under the uniform measure.
     """
-    _check_power_of_two(f.values.size)
-    return FunctionVector(_fwht(f.values) / f.values.size, f.space)
+    return FunctionVector(hadamard_transform(f.values[:, None])[:, 0] / f.values.size, f.space)
 
 
 def inverse_walsh_transform(fhat: FunctionVector) -> FunctionVector:
     """Inverse of :func:`walsh_transform`."""
-    _check_power_of_two(fhat.values.size)
-    return FunctionVector(_fwht(fhat.values), fhat.space)
+    return FunctionVector(hadamard_transform(fhat.values[:, None])[:, 0], fhat.space)
 
 
 def subset_sizes(n: int) -> np.ndarray:
@@ -113,11 +96,18 @@ class DiagonalMultiplierSemigroup:
         # no tensor structure is known: the semigroup is its own single factor
         self.factor = self
         self.power = 1
+        self._walsh_basis = False
 
     def operator(self, multiplier) -> OperatorMatrix:
-        """The operator acting on eigenvector k by multiplier[k]."""
+        """The operator acting on eigenvector k by multiplier[k].
+
+        On the cube's Walsh basis the operator also carries the multiplier.
+        """
         entries = (self._basis * multiplier) @ self._basis_inv
-        return OperatorMatrix.on(self.space, entries)
+        op = OperatorMatrix.on(self.space, entries)
+        if self._walsh_basis:
+            op = dataclasses.replace(op, walsh=multiplier)
+        return op
 
     def evaluate(self, z) -> OperatorMatrix:
         """Matrix of T(z); requires Re(z) >= 0."""
@@ -153,6 +143,7 @@ class CubeNoiseSemigroup(DiagonalMultiplierSemigroup):
         self._basis = hadamard(2**self.n, dtype=float)
         self._basis_inv = self._basis / self.space.size
         self.condition_number = 1.0
+        self._walsh_basis = True
         self.factor = self if self.n == 1 else CubeNoiseSemigroup(1)
         self.power = self.n
 

@@ -52,9 +52,11 @@ def test_determinism_byte_identical(tmp_path):
     assert (a / "certificate_0.01.txt").read_bytes() == (b / "certificate_0.01.txt").read_bytes()
 
 
-def test_invalid_config_exits_2_and_writes_nothing(tmp_path):
+# a non-finite side or point would pass the order checks and fail later in the map
+@pytest.mark.parametrize("overrides", [["t=99"], ["a=inf", "t=0.2"], ["b=inf"]], ids=",".join)
+def test_invalid_config_exits_2_and_writes_nothing(tmp_path, overrides):
     out = tmp_path / "x"
-    code = run_cli(["split", "--set", "t=99", "--out", str(out)])
+    code = run_cli(["split", *(arg for o in overrides for arg in ("--set", o)), "--out", str(out)])
     assert code == 2
     assert not out.exists()
 

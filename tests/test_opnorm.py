@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from semisplit import (
     CubeNoiseSemigroup,
@@ -20,14 +21,22 @@ from semisplit import (
     opnorm_oracle,
     split,
 )
-from semisplit.errors import CostGuardError, DomainError, InvalidExponentError, ShapeError
+from semisplit.errors import (
+    ConvergenceError,
+    CostGuardError,
+    DomainError,
+    InvalidExponentError,
+    ShapeError,
+)
 from semisplit.opnorm import (
     _ASCENT_MAX_ITER,
     _ASCENT_TOL,
     _ORACLE_RANDOM_DIRECTIONS,
+    _WALSH_MIN_ATOMS,
     _colnorms,
     _fibonacci_sphere,
     _phase,
+    _walsh_product,
 )
 
 
@@ -360,17 +369,104 @@ def test_stacked_ascent_needs_one_domain_and_codomain():
         opnorm_lower_many([OperatorMatrix.identity(a), OperatorMatrix.identity(b)], 1.5, 2.0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_failed_stacked_svd_measures_one_operator_at_a_time():
-    # a NaN entry makes the stacked SVD raise; the finite operator keeps its
-    # SVD starts, without which its 2 -> 2 witness differs
+def test_failed_stacked_svd_measures_one_operator_at_a_time(monkeypatch):
+    # an SVD that fails on any stack holding the second operator; the first
+    # keeps its SVD starts, without which its 2 -> 2 witness differs
     sp = FiniteProbabilitySpace.uniform(3)
     good = OperatorMatrix.on(sp, np.random.default_rng(0).standard_normal((3, 3)))
-    bad = OperatorMatrix.on(sp, np.where(np.eye(3) > 0, np.nan, 1.0))
+    bad = OperatorMatrix.on(sp, np.ones((3, 3)))
+    svd = np.linalg.svd
+
+    def failing_svd(a, *args, **kwargs):
+        # the uniform weights cancel exactly on the all-ones operator
+        if any(np.array_equal(m, bad.entries) for m in a.reshape(-1, 3, 3)):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
     for A, est in zip((good, bad), opnorm_lower_many([good, bad], 2.0, 2.0)):
         one = opnorm_lower(A, 2.0, 2.0)
         assert np.float64(est.value).tobytes() == np.float64(one.value).tobytes()
         assert est.witness.values.tobytes() == one.witness.values.tobytes()
+
+
+def test_non_finite_operators_raise():
+    sp = FiniteProbabilitySpace.uniform(4)
+    nan_op = OperatorMatrix.on(sp, np.where(np.eye(4) > 0, np.nan, 0.0))
+    with pytest.raises(DomainError):
+        opnorm_lower(nan_op, 1.5, 1.5, restarts=2)
+    with pytest.raises(DomainError):
+        opnorm_lower_many([OperatorMatrix.identity(sp), nan_op], 1.5, 2.0, restarts=2)
+    with pytest.raises(DomainError):
+        opnorm_oracle(nan_op, 1.5, 1.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_norm_raises():
+    # finite entries whose ratio overflows to inf
+    M = np.eye(4)
+    M[0, 1] = 1e300
+    A = OperatorMatrix.on(FiniteProbabilitySpace.uniform(4), M)
+    with pytest.raises(ConvergenceError):
+        opnorm_lower(A, 1.5, 1.5, restarts=2)
+    with pytest.raises(ConvergenceError):
+        opnorm_oracle(A, 1.5, 1.5)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_walsh_product_matches_dense(n):
+    d = 2**n
+    rng = np.random.default_rng(n)
+    H = hadamard(d)
+    mult = (rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))) / d
+    M = np.stack([(H * m) @ H for m in mult])
+    F = rng.standard_normal((3, d, 5)) + 1j * rng.standard_normal((3, d, 5))
+    for got, want in ((_walsh_product(mult, F), M @ F),
+                      (_walsh_product(mult.conj(), F), M.conj().transpose(0, 2, 1) @ F)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _spy_walsh_product(monkeypatch):
+    calls = []
+
+    def spy(mult, F):
+        calls.append(len(mult))
+        return _walsh_product(mult, F)
+
+    monkeypatch.setattr("semisplit.opnorm._walsh_product", spy)
+    return calls
+
+
+def test_walsh_stack_matches_each_operator_alone(monkeypatch):
+    S = CubeNoiseSemigroup(7)
+    # the identity stalls at once, the others run on to different steps
+    ops = [S.evaluate(0.02 + 0.1j), S.evaluate(0.05 - 0.6j), S.operator(np.ones(128))]
+    calls = _spy_walsh_product(monkeypatch)
+    for q in (1.5, 2.0):
+        stacked = opnorm_lower_many(ops, 1.5, q, restarts=6, seed=1)
+        assert len({est.steps for est in stacked}) == 3
+        for A, est in zip(ops, stacked):
+            one = opnorm_lower(A, 1.5, q, restarts=6, seed=1)
+            assert abs(est.value - one.value) <= 1e-12 * one.value
+            assert (est.steps, est.start) == (one.steps, one.start)
+            # each value is the dense ratio of its witness
+            dense = lp_norm(apply(A, est.witness), q) / lp_norm(est.witness, 1.5)
+            assert np.float64(est.value).tobytes() == np.float64(dense).tobytes()
+    assert 3 in calls and 2 in calls and 1 in calls
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cube_below_the_walsh_cutoff_stays_dense(n, monkeypatch):
+    assert 2**n < _WALSH_MIN_ATOMS
+    A = CubeNoiseSemigroup(n).evaluate(0.2 - 0.5j)
+    assert A.walsh is not None
+    plain = OperatorMatrix.on(A.domain, A.entries)
+    calls = _spy_walsh_product(monkeypatch)
+    for q in (1.5, 2.0):
+        est, ref = opnorm_lower(A, 1.5, q, restarts=8), opnorm_lower(plain, 1.5, q, restarts=8)
+        assert np.float64(est.value).tobytes() == np.float64(ref.value).tobytes()
+        assert est.witness.values.tobytes() == ref.witness.values.tobytes()
+    assert calls == []
 
 
 def test_ascent_reports_its_steps(monkeypatch):
