@@ -2,9 +2,10 @@
 
 Config format: a flat key=value text file ('#' starts a comment), overridable
 with repeatable --set KEY=VALUE flags; --out chooses the output directory.
-Exit status: 0 when every certified inequality holds, 1 when a certified bound
-or stability factor fails, 2 on an invalid config (nothing is written), 3 on a
-numerical failure (a diagnostics file is written).
+Exit status: 0 when every certified inequality holds, 1 when a certified bound,
+a reconstruction error or a stability factor fails (the outputs are still
+written), 2 on an invalid config (nothing is written), 3 on a numerical
+failure (a diagnostics file is written).
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ RESULTS_HEADER = (
     "slope_fit,bound_T0_ok,bound_T1_ok"
 )
 
-# Upper limits on the stability numbers that `dimsweep` and `corollary` print;
-# the subcommand exits 1 when one is exceeded.  Acceptance criteria 8 and 10
-# assert the same table.
+# Upper limits on the reconstruction error of each `split` row and on the
+# stability numbers that `dimsweep` and `corollary` print; the subcommand exits
+# 1 when one is exceeded.  Acceptance criteria 1, 8 and 10 assert the same table.
 GATES = {
+    "recon_error": 1e-6,
     "theta_spread": 1e-12,
     "C1_factor": 1.5,
     "norm_T0_over_eps_factor": 2.0,
@@ -109,6 +111,8 @@ class ExperimentConfig:
                 f"invariant violated: n_range is non-empty with every n >= 1 "
                 f"(got {self.n_range})"
             )
+        if self.seed < 0:
+            raise UsageError(f"invariant violated: seed >= 0 (got {self.seed})")
         if self.restarts < 0:
             raise UsageError(f"invariant violated: restarts >= 0 (got {self.restarts})")
         if self.walkers < 1:
@@ -218,7 +222,8 @@ def run_split(cfg: ExperimentConfig) -> int:
             )
         )
         (out / f"certificate_{eps}.txt").write_text(certificate_text(cert))
-        all_ok = all_ok and cert.bound_T0_ok and cert.bound_T1_ok
+        all_ok = (all_ok and cert.bound_T0_ok and cert.bound_T1_ok
+                  and cert.recon_error_pp <= GATES["recon_error"])
     (out / "results.csv").write_text("\n".join(rows) + "\n")
     return 0 if all_ok else 1
 

@@ -66,27 +66,17 @@ def subset_sizes(n: int) -> np.ndarray:
 class DiagonalMultiplierSemigroup:
     """Semigroup with an explicit eigenbasis and nonnegative spectrum."""
 
-    def __init__(self, eigenbasis: OperatorMatrix, spectrum, space: FiniteProbabilitySpace | None = None):
-        basis = np.asarray(
-            eigenbasis.entries if isinstance(eigenbasis, OperatorMatrix) else eigenbasis,
-            dtype=complex,
-        )
+    def __init__(self, eigenbasis: OperatorMatrix, spectrum):
+        """``eigenbasis`` holds the eigenvectors as columns; its domain is the space."""
+        basis = np.asarray(eigenbasis.entries, dtype=complex)
         lam = np.asarray(spectrum, dtype=float)
-        if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
+        if basis.shape[0] != basis.shape[1]:
             raise ShapeError("eigenbasis must be square")
         if lam.ndim != 1 or lam.size != basis.shape[0]:
             raise ShapeError("spectrum length must match the eigenbasis size")
         if np.any(lam < 0):
             raise DomainError("spectrum must be nonnegative")
-        if space is None:
-            space = (
-                eigenbasis.domain
-                if isinstance(eigenbasis, OperatorMatrix)
-                else FiniteProbabilitySpace.uniform(basis.shape[0])
-            )
-        if space.size != basis.shape[0]:
-            raise ShapeError("space size must match the eigenbasis")
-        self.space = space
+        self.space = eigenbasis.domain
         self.spectrum = lam
         self._basis = basis
         self.condition_number = float(np.linalg.cond(basis))

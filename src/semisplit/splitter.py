@@ -8,6 +8,7 @@ mean-value property makes (1-theta) T0 + theta T1 reconstruct T(t).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -35,7 +36,6 @@ from .spaces import OperatorMatrix
 
 __all__ = [
     "SplitCertificate",
-    "NodeConstants",
     "node_constants",
     "split",
     "approximant",
@@ -73,63 +73,41 @@ class SplitCertificate:
     C1_node: int
 
 
-@dataclass(frozen=True, eq=False)
-class NodeConstants:
-    """The one-bit norm of every node operator, measured once per geometry.
-
-    ``estimates[i]`` is the lower bound, with its witness, on the norm of
-    ``factor.evaluate(hm.z[i])``: p -> p on a slanted node, p -> 2 on a
-    vertical one.  They depend on (hm, factor, p, restarts, seed) only, so
-    one object serves every split that shares those, whatever the power of
-    the factor or the damping levels.
-    """
-
-    hm: HarmonicMeasure
-    factor: object
-    p: float
-    restarts: int
-    seed: int
-    estimates: tuple[NormEstimate, ...]
-
-    @property
-    def values(self) -> list[float]:
-        """The value of each estimate, in node order."""
-        return [est.value for est in self.estimates]
-
-    def require_match(
-        self, semigroup, hm: HarmonicMeasure, p: float, restarts: int, seed: int
-    ) -> None:
-        """Raise DomainError unless these constants were built for exactly these inputs."""
-        if (self.hm is not hm or self.factor != semigroup.factor
-                or (self.p, self.restarts, self.seed) != (p, restarts, seed)):
-            raise DomainError(
-                f"node constants of {self.factor!r} at (p, restarts, seed) = "
-                f"{(self.p, self.restarts, self.seed)} do not fit {semigroup.factor!r} at "
-                f"{(p, restarts, seed)} on this harmonic measure"
-            )
-
-
 def node_constants(
     semigroup,
     hm: HarmonicMeasure,
     p: float,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
-) -> NodeConstants:
-    """Measure the norm of ``semigroup.factor`` at every node of ``hm``, in node order.
+) -> tuple[NormEstimate, ...]:
+    """The norm of ``semigroup.factor`` at every node of ``hm``, in node order.
 
-    The slanted nodes (p -> p) and the vertical ones (p -> 2) are each
-    measured as one stack by :func:`opnorm_lower_many`.
+    Entry i is the lower bound, with its witness, on the norm of
+    ``factor.evaluate(hm.z[i])``: p -> p on a slanted node, p -> 2 on a
+    vertical one.  The estimates depend on (factor, hm, p, restarts, seed)
+    only, so they are memoised on that key, with ``hm`` matched by identity:
+    every cube shares the one-bit factor, whatever its power.  The estimates
+    are shared between callers, so their witness arrays are read-only.
     """
     _check_p(p)
-    factor = semigroup.factor
+    return _node_estimates(semigroup.factor, hm, p, restarts, seed)
+
+
+# a run uses at most two keys at a time; a small cache bounds the harmonic
+# measures and factors it keeps alive
+@functools.lru_cache(maxsize=4)
+def _node_estimates(factor, hm: HarmonicMeasure, p: float, restarts: int,
+                    seed: int) -> tuple[NormEstimate, ...]:
+    # the slanted nodes (p -> p) and the vertical ones (p -> 2) are each
+    # measured as one stack
     ops = [factor.evaluate(complex(z)) for z in hm.z]
     estimates = [None] * len(ops)
     for part, q in ((np.flatnonzero(~hm.is_v1), p), (np.flatnonzero(hm.is_v1), 2.0)):
         stack = opnorm_lower_many([ops[i] for i in part], p, q, restarts, seed)
         for i, est in zip(part, stack):
+            est.witness.values.flags.writeable = False
             estimates[i] = est
-    return NodeConstants(hm, factor, p, restarts, seed, tuple(estimates))
+    return tuple(estimates)
 
 
 def _validated_epsilons(hm: HarmonicMeasure, epsilon: float | Sequence[float]) -> list[float]:
@@ -230,7 +208,6 @@ def split(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     oracle_check: bool = True,
-    nodes: NodeConstants | None = None,
 ) -> SplitCertificate | list[SplitCertificate]:
     """Build T0, T1 for each damping level and certify both norm bounds.
 
@@ -240,19 +217,14 @@ def split(
     that of the semigroup's tensor ``factor`` raised to its ``power``: for
     p <= q the p -> q norm is multiplicative over tensor products (Beckner),
     and the tensor power of the factor's witness attains the product, so the
-    value stays a certified lower bound.  ``nodes`` passes in factor norms
-    measured by :func:`node_constants` with the same hm (the same object),
-    factor, p, restarts and seed; anything else raises DomainError before
-    any ascent.  With None they are measured here.  On spaces small enough
-    for the dense oracle, the norms of the assembled operators are
-    cross-checked against it.
+    value stays a certified lower bound.  The factor norms come from
+    :func:`node_constants`, so splits that share them measure them once.  On
+    spaces small enough for the dense oracle, the norms of the assembled
+    operators are cross-checked against it.
     """
     _check_p(p)
     epsilons = _validated_epsilons(hm, epsilon)
-    if nodes is None:
-        nodes = node_constants(semigroup, hm, p, restarts, seed)
-    else:
-        nodes.require_match(semigroup, hm, p, restarts, seed)
+    nodes = node_constants(semigroup, hm, p, restarts, seed)
     certs = _split_engine(
         semigroup, domain, hm, epsilons,
         (
@@ -260,7 +232,7 @@ def split(
             lambda ops: [est.value for est in opnorm_lower_many(ops, p, 2.0, restarts, seed)],
         ),
         lambda A: opnorm_lower(A, p, p, restarts=restarts, seed=seed).value,
-        nodes.values,
+        [est.value for est in nodes],
         semigroup.power,
     )
     if oracle_check and semigroup.space.size <= ORACLE_DIM_LIMIT:
@@ -341,8 +313,8 @@ def dimension_sweep(
 
     The geometry (hence theta) does not depend on the space; the interesting
     columns are the measured constants, which must stay dimension-stable.
-    Every cube is a tensor power of the one-bit cube, so the one-bit node
-    norms are measured once and passed to each size's split.
+    Every cube is a tensor power of the one-bit cube, so the splits share
+    one set of one-bit node norms (see :func:`node_constants`).
     """
     n_range = list(n_range)
     if not n_range:
@@ -351,13 +323,11 @@ def dimension_sweep(
         raise CostGuardError(f"cube size capped at n = {_MAX_CUBE_N} (matrix size 2^n)")
     if any(n < 1 for n in n_range):
         raise DomainError("cube size must be at least 1")
-    _validated_epsilons(hm, epsilon)
-    nodes = node_constants(CubeNoiseSemigroup(1), hm, p, restarts, seed)
     rows = []
     for n in n_range:
         cert = split(
             CubeNoiseSemigroup(n), domain, hm, p, epsilon,
-            restarts=restarts, seed=seed, oracle_check=False, nodes=nodes,
+            restarts=restarts, seed=seed, oracle_check=False,
         )
         rows.append(
             SweepRow(

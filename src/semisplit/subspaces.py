@@ -97,6 +97,13 @@ def _ratio_extremum(T: OperatorMatrix, X: Subspace, p: float, maximize: bool,
     rng = np.random.default_rng(seed)
     starts = [np.eye(2 * k)[j] for j in range(k)]
     starts += [rng.standard_normal(2 * k) for _ in range(restarts)]
+    # fatol is absolute, so a ratio far from 1 is brought to [1/2, 1) by an
+    # exact power of two 2^e (ldexp on the real and imaginary parts), taken
+    # back out of the extremum at the end
+    scale = ratio(starts[0])
+    e = 0 if 2.0**-8 <= scale <= 2.0**8 else math.frexp(scale)[1]
+    if e:
+        TB = np.ldexp(TB.view(np.float64), -e).view(np.complex128)
     best = -np.inf if maximize else np.inf
     # only the extremum's value is returned, never its argmin, so the search
     # stops once the simplex values agree (fatol) however wide the simplex
@@ -106,11 +113,13 @@ def _ratio_extremum(T: OperatorMatrix, X: Subspace, p: float, maximize: bool,
     for x0 in starts:
         res = minimize(lambda x: sign * ratio(x), x0, method="Nelder-Mead",
                        options={"maxiter": 4000, "xatol": np.inf, "fatol": 1e-14})
+        if not res.success:
+            raise ConvergenceError(f"restricted-isomorphism search: {res.message}")
         val = sign * res.fun
         best = max(best, val) if maximize else min(best, val)
         direct = ratio(x0)
         best = max(best, direct) if maximize else min(best, direct)
-    return float(best)
+    return math.ldexp(float(best), e)
 
 
 def restricted_isomorphism_check(

@@ -58,10 +58,11 @@ def test_criterion_1_reconstruction(acceptance_log, default_domain, default_meas
         for cert in split(S, default_domain, default_measure, P, (1.0, 1e-2),
                           seed=0, oracle_check=False):
             worst = max(worst, cert.recon_error_pp)
-    ok = worst <= 1e-6
+    ok = worst <= GATES["recon_error"]
     assert record(
         acceptance_log, 1, ok,
-        f"reconstruction error over n=1..4, eps in (1, 1e-2): worst {worst:.2e} (limit 1e-6)",
+        f"reconstruction error over n=1..4, eps in (1, 1e-2): worst {worst:.2e} "
+        f"(limit {GATES['recon_error']})",
     )
 
 

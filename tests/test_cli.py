@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import semisplit
-from semisplit.cli import RESULTS_HEADER, main
+from semisplit.cli import GATES, RESULTS_HEADER, main
 
 
 def run_cli(args):
@@ -46,14 +46,29 @@ def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         code = run_cli(["split", "--set", "n=1", "--set", "epsilons=1e-1,1e-2",
-                        "--set", "nodes_per_edge=32", "--set", "seed=5", "--out", str(out)])
+                        "--set", "nodes_per_edge=48", "--set", "seed=5", "--out", str(out)])
         assert code == 0
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
     assert (a / "certificate_0.01.txt").read_bytes() == (b / "certificate_0.01.txt").read_bytes()
 
 
-# a non-finite side or point would pass the order checks and fail later in the map
-@pytest.mark.parametrize("overrides", [["t=99"], ["a=inf", "t=0.2"], ["b=inf"]], ids=",".join)
+def test_split_reconstruction_above_gate_exits_1(tmp_path):
+    # at eps = 1e-5 the vertical damping has modulus about 44, and the damped
+    # quadrature reconstructs T(t) only to 2.7e-5, though both bounds hold
+    code = run_cli(["split", "--set", "n=1", "--set", "epsilons=1e-2,1e-5",
+                    "--out", str(tmp_path)])
+    assert code == 1
+    rows = [r.split(",") for r in (tmp_path / "results.csv").read_text().splitlines()[1:]]
+    assert float(rows[0][2]) <= GATES["recon_error"] < float(rows[1][2])
+    assert all(row[-2:] == ["true", "true"] for row in rows)
+    assert (tmp_path / "certificate_1e-05.txt").exists()
+
+
+# a non-finite side or point would pass the order checks and fail later in the
+# map, a negative seed in the random generator after the first output is written
+@pytest.mark.parametrize(
+    "overrides", [["t=99"], ["a=inf", "t=0.2"], ["b=inf"], ["seed=-1"]], ids=",".join
+)
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, overrides):
     out = tmp_path / "x"
     code = run_cli(["split", *(arg for o in overrides for arg in ("--set", o)), "--out", str(out)])

@@ -215,15 +215,19 @@ def test_split_sequence_matches_per_eps_cube(
 def test_split_sequence_matches_per_eps_diagonal(
     default_domain, default_measure, assert_same_certificate
 ):
-    # the node norms are measured once and shared by all three splits; the
-    # nodes=None path is covered by test_split_with_node_constants_matches_split
+    # the three splits share one memoised set of node norms
     S = _diagonal_semigroup()
     eps_set = (1.0, 1e-2)
-    kw = dict(seed=0, oracle_check=False,
-              nodes=node_constants(S, default_measure, P, seed=0))
+    kw = dict(seed=0, oracle_check=False)
     certs = split(S, default_domain, default_measure, P, eps_set, **kw)
     for eps, cert in zip(eps_set, certs):
         assert_same_certificate(cert, split(S, default_domain, default_measure, P, eps, **kw))
+
+
+@pytest.fixture
+def cold_measure(default_domain):
+    """A harmonic measure of its own, so no split has memoised its node norms yet."""
+    return harmonic_measure(default_domain, 64)
 
 
 def _count_ascents(monkeypatch):
@@ -245,13 +249,13 @@ def _count_ascents(monkeypatch):
     return calls
 
 
-def test_split_sweep_runs_node_norms_once(monkeypatch, default_domain, default_measure):
+def test_split_sweep_runs_node_norms_once(monkeypatch, default_domain, cold_measure):
     calls = _count_ascents(monkeypatch)
     eps_set = (1e-1, 1e-2, 1e-3, 1e-4)
     S = CubeNoiseSemigroup(1)
-    split(S, default_domain, default_measure, P, eps_set, restarts=4, seed=0)
+    split(S, default_domain, cold_measure, P, eps_set, restarts=4, seed=0)
     # one ascent per node, then T0, T1 and the reconstruction residual per eps
-    assert len(calls) == default_measure.z.size + 3 * len(eps_set)
+    assert len(calls) == cold_measure.z.size + 3 * len(eps_set)
 
 
 def test_split_validates_every_eps_before_any_ascent(
@@ -265,21 +269,21 @@ def test_split_validates_every_eps_before_any_ascent(
 
 
 def test_split_node_ascents_run_on_one_bit_factor(
-    monkeypatch, default_domain, default_measure, cube3
+    monkeypatch, default_domain, cold_measure, cube3
 ):
     calls = _count_ascents(monkeypatch)
     eps_set = (1e-1, 1e-2)
-    split(cube3, default_domain, default_measure, P, eps_set, restarts=4, seed=0,
+    split(cube3, default_domain, cold_measure, P, eps_set, restarts=4, seed=0,
           oracle_check=False)
-    nodes = default_measure.z.size
+    nodes = cold_measure.z.size
     assert calls[:nodes] == [(2, 2)] * nodes
     assert calls[nodes:] == [(8, 8)] * (3 * len(eps_set))
 
 
-def test_dimension_sweep_measures_node_norms_once(monkeypatch, default_domain, default_measure):
+def test_dimension_sweep_measures_node_norms_once(monkeypatch, default_domain, cold_measure):
     calls = _count_ascents(monkeypatch)
-    dimension_sweep(default_domain, default_measure, P, 1e-2, [1, 2, 3], restarts=4, seed=0)
-    nodes = default_measure.z.size
+    dimension_sweep(default_domain, cold_measure, P, 1e-2, [1, 2, 3], restarts=4, seed=0)
+    nodes = cold_measure.z.size
     # the one-bit node norms once, then T0, T1 and the residual per cube size
     assert len(calls) == nodes + 3 * 3
     assert calls[:nodes] == [(2, 2)] * nodes
@@ -289,7 +293,7 @@ def test_dimension_sweep_measures_node_norms_once(monkeypatch, default_domain, d
     "make", [lambda: CubeNoiseSemigroup(3), _diagonal_semigroup], ids=["cube3", "diagonal"]
 )
 def test_split_stacks_t0_and_t1_over_its_damping_levels(
-    monkeypatch, default_domain, default_measure, assert_same_certificate, make
+    monkeypatch, default_domain, cold_measure, assert_same_certificate, make
 ):
     import semisplit.splitter
 
@@ -307,7 +311,7 @@ def test_split_stacks_t0_and_t1_over_its_damping_levels(
     monkeypatch.setattr(semisplit.splitter, "opnorm_lower", one)
     monkeypatch.setattr(semisplit.splitter, "opnorm_lower_many", many)
     S = make()
-    hm = default_measure
+    hm = cold_measure
     eps_set = (1e-1, 1e-2, 1e-3, 1e-4)
     kw = dict(restarts=8, seed=0, oracle_check=False)
     certs = split(S, default_domain, hm, P, eps_set, **kw)
@@ -316,9 +320,8 @@ def test_split_stacks_t0_and_t1_over_its_damping_levels(
     k = len(eps_set)
     assert calls == [("many", P, slanted), ("many", 2.0, vertical),
                      ("many", P, k), ("many", 2.0, k)] + [("one", P)] * k
-    nodes = node_constants(S, hm, P, restarts=8, seed=0)
     for eps, cert in zip(eps_set, certs):
-        assert_same_certificate(cert, split(S, default_domain, hm, P, eps, nodes=nodes, **kw))
+        assert_same_certificate(cert, split(S, default_domain, hm, P, eps, **kw))
 
 
 @pytest.mark.parametrize(
@@ -342,13 +345,17 @@ def test_dimension_sweep_fails_before_any_ascent(
     ids=["cube3", "diagonal"],
 )
 def test_split_with_node_constants_matches_split(
-    default_domain, default_measure, assert_same_certificate, make, eps_set
+    monkeypatch, default_domain, cold_measure, assert_same_certificate, make, eps_set
 ):
+    # a second split on the same inputs reads the memoised node norms: it runs
+    # only its T0 and T1 stacks and one residual per eps
     S = make()
     kw = dict(restarts=8, seed=0, oracle_check=False)
-    nodes = node_constants(S, default_measure, P, restarts=8, seed=0)
-    shared = split(S, default_domain, default_measure, P, eps_set, nodes=nodes, **kw)
-    for a, b in zip(shared, split(S, default_domain, default_measure, P, eps_set, **kw)):
+    first = split(S, default_domain, cold_measure, P, eps_set, **kw)
+    calls = _count_ascents(monkeypatch)
+    second = split(S, default_domain, cold_measure, P, eps_set, **kw)
+    assert len(calls) == 3 * len(eps_set)
+    for a, b in zip(first, second):
         assert_same_certificate(a, b)
 
 
@@ -360,32 +367,44 @@ def test_node_constants_match_per_node_ascents(default_measure, make, seed):
     S = make()
     hm = default_measure
     nodes = node_constants(S, hm, P, seed=seed)
-    for z, on_v1, est in zip(hm.z, hm.is_v1, nodes.estimates):
+    assert len(nodes) == hm.z.size
+    for z, on_v1, est in zip(hm.z, hm.is_v1, nodes):
         one = opnorm_lower(S.factor.evaluate(complex(z)), P, 2.0 if on_v1 else P, seed=seed)
         assert np.float64(est.value).tobytes() == np.float64(one.value).tobytes()
         assert est.witness.values.tobytes() == one.witness.values.tobytes()
         assert est.steps == one.steps
+        # every caller shares the memoised estimates
+        with pytest.raises(ValueError):
+            est.witness.values[0] = 0.0
 
 
-def test_split_rejects_mismatched_node_constants(monkeypatch, default_domain, default_measure):
-    hm = default_measure
-    S = CubeNoiseSemigroup(2)
-    other_hm = harmonic_measure(default_domain, 64)
-    diag_nodes = node_constants(_diagonal_semigroup(), hm, P, restarts=4, seed=0)
-    mismatched = [
-        (S, node_constants(S, hm, 1.25, restarts=4, seed=0)),
-        (S, node_constants(S, hm, P, restarts=4, seed=1)),
-        (S, node_constants(S, hm, P, restarts=2, seed=0)),
-        (S, node_constants(S, other_hm, P, restarts=4, seed=0)),
-        (S, diag_nodes),
-        # a diagonal semigroup is its own factor and matches only itself
-        (_diagonal_semigroup(), diag_nodes),
-    ]
+def test_split_rejects_mismatched_node_constants(monkeypatch, default_domain, cold_measure):
+    # the memo is keyed on (factor, hm, p, restarts, seed), hm by identity:
+    # a split reuses node norms only when all five match
+    hm = cold_measure
+    diag = _diagonal_semigroup()
+    base = dict(semigroup=CubeNoiseSemigroup(2), hm=hm, p=P, restarts=4, seed=0)
     calls = _count_ascents(monkeypatch)
-    for semigroup, nodes in mismatched:
-        with pytest.raises(DomainError):
-            split(semigroup, default_domain, hm, P, 1e-2, restarts=4, seed=0, nodes=nodes)
-    assert calls == []
+
+    def node_ascents(**changed):
+        args = {**base, **changed}
+        calls.clear()
+        split(args["semigroup"], default_domain, args["hm"], args["p"], 1e-2,
+              restarts=args["restarts"], seed=args["seed"], oracle_check=False)
+        return len(calls) - 3
+
+    nodes = hm.z.size
+    assert node_ascents() == nodes
+    assert node_ascents() == 0
+    # every cube shares the one-bit factor, whatever its power
+    assert node_ascents(semigroup=CubeNoiseSemigroup(3)) == 0
+    for changed in (dict(hm=harmonic_measure(default_domain, 64)), dict(p=1.25),
+                    dict(restarts=2), dict(seed=1), dict(semigroup=diag)):
+        assert node_ascents(**changed) == nodes, changed
+    # a diagonal semigroup is its own factor and matches only itself
+    assert node_ascents(semigroup=diag) == 0
+    assert node_ascents(semigroup=_diagonal_semigroup()) == nodes
+
 
 
 @pytest.mark.parametrize(
@@ -394,18 +413,17 @@ def test_split_rejects_mismatched_node_constants(monkeypatch, default_domain, de
 def test_certificate_names_the_nodes_attaining_c0_and_c1(default_domain, default_measure, make):
     S = make()
     hm = default_measure
-    nodes = node_constants(S, hm, P, restarts=8, seed=0)
-    cert = split(S, default_domain, hm, P, 1e-2, restarts=8, seed=0, oracle_check=False,
-                 nodes=nodes)
-    assert nodes.values[cert.C0_node] ** S.power == cert.C0_measured
-    assert nodes.values[cert.C1_node] ** S.power == cert.C1_measured
+    values = [est.value for est in node_constants(S, hm, P, restarts=8, seed=0)]
+    cert = split(S, default_domain, hm, P, 1e-2, restarts=8, seed=0, oracle_check=False)
+    assert values[cert.C0_node] ** S.power == cert.C0_measured
+    assert values[cert.C1_node] ** S.power == cert.C1_measured
     assert not hm.is_v1[cert.C0_node]
     assert hm.is_v1[cert.C1_node]
     # the first node attaining each maximum
     assert all(v ** S.power < cert.C0_measured
-               for v, on_v1 in zip(nodes.values[:cert.C0_node], hm.is_v1) if not on_v1)
+               for v, on_v1 in zip(values[:cert.C0_node], hm.is_v1) if not on_v1)
     assert all(v ** S.power < cert.C1_measured
-               for v, on_v1 in zip(nodes.values[:cert.C1_node], hm.is_v1) if on_v1)
+               for v, on_v1 in zip(values[:cert.C1_node], hm.is_v1) if on_v1)
 
 
 @pytest.mark.parametrize(

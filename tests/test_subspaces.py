@@ -189,3 +189,45 @@ def test_overflowing_image_gram_raises():
     T = OperatorMatrix.on(S.space, S.evaluate(0.3).entries * 1e300)
     with pytest.raises(ConditioningError):
         build_projection(T, X, 1.0)
+
+
+def _recording_minimize(monkeypatch, **forced_options):
+    import scipy.optimize
+
+    statuses = []
+    minimize = scipy.optimize.minimize
+
+    def recording(*args, **kwargs):
+        kwargs["options"] = {**kwargs["options"], **forced_options}
+        res = minimize(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    return statuses
+
+
+@pytest.mark.parametrize(
+    "case, p",
+    [(lambda: (CubeNoiseSemigroup(3).evaluate(0.3), first_level_subspace(3)), 1.0),
+     (_non_normal_case, P)],
+    ids=["first-level", "non-normal"],
+)
+def test_search_is_scale_free(monkeypatch, case, p):
+    # the stop rule compares ratio values, so an exact power-of-two scaling
+    # of T scales the extrema and leaves every search converged
+    T, X = case()
+    statuses = _recording_minimize(monkeypatch)
+    base = restricted_isomorphism_check(T, X, p, restarts=4, seed=0)
+    scaled = restricted_isomorphism_check(
+        OperatorMatrix(T.entries * 2.0**40, T.domain, T.codomain), X, p, restarts=4, seed=0
+    )
+    np.testing.assert_allclose(scaled, np.multiply(base, 2.0**40), rtol=1e-12)
+    assert statuses and set(statuses) == {0}
+
+
+def test_unconverged_search_raises(monkeypatch):
+    T, X = _non_normal_case()
+    _recording_minimize(monkeypatch, maxiter=2)
+    with pytest.raises(ConvergenceError, match="restricted-isomorphism search"):
+        restricted_isomorphism_check(T, X, P, restarts=1, seed=0)
