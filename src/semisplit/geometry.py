@@ -62,7 +62,8 @@ def _arg(b: np.ndarray, upper: bool) -> np.ndarray:
 def _pow_half(base, expo: float, upper: bool):
     """Complex power with a half-plane limit on the negative real axis."""
     b = np.asarray(base, dtype=complex)
-    with np.errstate(divide="ignore"):
+    # b = 0 gives expo * log(b) a nan phase; its exp is still 0 when expo > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
         out = np.exp(expo * (np.log(np.abs(b)) + 1j * _arg(b, upper)))
     return out if out.shape else complex(out)
 
@@ -304,7 +305,7 @@ class _TriangleMap:
         raise ConvergenceError(f"Newton stalled: target {target}, residual {abs(err)}")
 
     def _invert_corner(self, z: complex) -> tuple[complex, complex] | None:
-        """(zeta, 1 - zeta) through a corner chart in the local power variable, or None.
+        """(zeta, 1 - zeta) through the apex or s+a-ib chart in its power variable, or None.
 
         The chart at s+a-ib solves for sigma = 1 - zeta itself, which is kept:
         zeta = 1 - sigma rounds to 1 once sigma falls below 1e-16.
@@ -337,24 +338,6 @@ class _TriangleMap:
             eta = self._newton_chart(chart, dchart, eta0, z)
             sigma = complex(_pow_half(eta, 1.0 / self.beta, upper=False))
             return 1.0 - sigma, sigma
-        # vp: z ~ vp - (C/beta) (-1)^(beta-1) rho^beta with rho = 1/zeta
-        phase = complex(_pow_half(-1.0 + 0j, self.beta - 1.0, upper=False))
-        eta0 = self.beta * (self.vp - z) / (self.C * phase)
-        if abs(eta0) <= 0.5**self.beta:
-
-            def chart(e):
-                return complex(self.chart_vp(_pow_half(e, 1.0 / self.beta, upper=False)))
-
-            def dchart(e):
-                rho = _pow_half(e, 1.0 / self.beta, upper=False)
-                return -self.C * _pow_half(rho - 1.0, self.beta - 1.0, upper=False) / self.beta
-
-            eta = self._newton_chart(chart, dchart, eta0, z)
-            rho = complex(_pow_half(eta, 1.0 / self.beta, upper=False))
-            if rho == 0:
-                raise ConvergenceError("inversion collapsed onto the corner at s+a+ib")
-            zeta = 1.0 / rho
-            return zeta, 1.0 - zeta
         return None
 
     def _newton_plain(self, start: complex, target: complex, max_iter=60):
@@ -410,23 +393,22 @@ class _TriangleMap:
         raise ConvergenceError(f"vertical-edge inversion stalled at {z}")
 
     def invert(self, z: complex) -> tuple[complex, complex]:
-        """Preimage zeta in the closed upper half-plane of a point of closure(V), and 1 - zeta."""
+        """(zeta, 1 - zeta) for the preimage zeta of z in closure(V) with Im z <= 0."""
         z = complex(z)
-        sa = self.domain.s + self.domain.a
-        if abs(z.real - sa) <= 1e-11 * self.domain.scale and abs(z.imag) < self.domain.b:
-            # the Newton step in the strip ordinate stalls near the corners of
-            # V1; there the corner charts below take over
-            try:
-                zeta = self._invert_vertical(z)
-                return zeta, 1.0 - zeta
-            except ConvergenceError:
-                pass
         try:
             found = self._invert_corner(z)
         except ConvergenceError:
             found = None
         if found is not None:
             return self._clip_uhp(*found, z)
+        sa = self.domain.s + self.domain.a
+        if abs(z.real - sa) <= 1e-11 * self.domain.scale and abs(z.imag) < self.domain.b:
+            # the part of V1 beyond the reach of the s+a-ib chart
+            try:
+                zeta = self._invert_vertical(z)
+                return zeta, 1.0 - zeta
+            except ConvergenceError:
+                pass
         # continuation along the straight path from t, which stays in the convex domain
         z0 = complex(self.domain.t)
         zeta = self.zeta_t
@@ -564,13 +546,16 @@ def strip_damping(theta: float, epsilon: float, w) -> complex:
 def conformal_to_disk(domain: TriangleDomain, z: complex) -> complex:
     """Riemann map of the triangle onto the unit disk with phi(t) = 0, phi'(t) > 0.
 
-    The disk coordinate crowds corners: points within ~1e-6 of the vertex
-    s+a+ib map exponentially close to one circle point, beyond double
+    The disk coordinate crowds corners: points within ~1e-6 of a vertex
+    s+a+-ib map exponentially close to one circle point, beyond double
     resolution.  Interior computations avoid the disk and work in half-plane
     or strip coordinates, which have no such degeneracy.
     """
     if not domain.contains(z, tol=1e-9):
         raise DomainError(f"{z} is not in the closed triangle")
+    z = complex(z)
+    if z.imag > 0:  # the map commutes with conjugation
+        return conformal_to_disk(domain, z.conjugate()).conjugate()
     m = _triangle_map(domain)
     return complex(m.mobius(m.invert(z)[0]))
 
@@ -828,7 +813,8 @@ class HarmonicMeasure:
             if bp.edge_id == point.edge_id and abs(bp.edge_parameter - point.edge_parameter) < 1e-14:
                 return float(self._density[i])
         m = self._map
-        zeta, _ = m.invert(point.z)
+        # the density is symmetric about the real axis, like the triangle
+        zeta, _ = m.invert(point.z.conjugate() if point.z.imag > 0 else point.z)
         if abs(zeta.imag) > 1e-6 * (1 + abs(zeta)):
             raise DomainError(f"{point.z} is not a boundary point")
         x = zeta.real
@@ -843,14 +829,23 @@ class HarmonicMeasure:
 
 
 def strip_coordinate(domain: TriangleDomain, hm: HarmonicMeasure, z: complex) -> StripCoordinate:
-    """Strip coordinate w(z) with w(t) = theta, Re(w) = 0 on V0 and 1 on V1."""
+    """Strip coordinate w(z) with w(t) = theta, Re(w) = 0 on V0 and 1 on V1.
+
+    w commutes with conjugation, and Im w tends to -inf at s+a-ib and to +inf at s+a+ib.
+    """
+    if hm.domain != domain:
+        raise DomainError(f"the measure belongs to {hm.domain}, not to {domain}")
     if not domain.contains(z, tol=1e-9):
         raise DomainError(f"{z} is not in the closed triangle")
-    m = hm._map
-    if abs(complex(z) - domain.t) < 1e-15 * domain.scale:
+    z = complex(z)
+    if z.imag > 0:
+        return StripCoordinate(strip_coordinate(domain, hm, z.conjugate()).w.conjugate())
+    if abs(z - domain.t) < 1e-15 * domain.scale:
         return StripCoordinate(complex(hm.theta))
-    _, one_minus = m.invert(z)
-    w = complex(m.strip(one_minus))
+    _, one_minus = hm._map.invert(z)
+    if one_minus == 0:
+        raise DomainError("the corners s+a+-ib of V1 have no strip coordinate (Im w is infinite)")
+    w = complex(hm._map.strip(one_minus))
     dist, edge = domain.edge_distance([z])
     if dist[0] < 1e-9 * domain.scale:
         w = complex(1.0 if edge[0] == 1 else 0.0, w.imag)

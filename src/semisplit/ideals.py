@@ -92,7 +92,7 @@ def generic_split(
     norms need not multiply over tensor factors, so each node norm is taken
     on the full node operator T(z).
     """
-    epsilons = _validated_epsilons(hm, epsilon)
+    epsilons = _validated_epsilons(domain, hm, epsilon)
     node_values = [
         (gamma.gamma if on_v1 else op_norm)(semigroup.evaluate(complex(z)))
         for z, on_v1 in zip(hm.z, hm.is_v1)

@@ -110,8 +110,12 @@ def _node_estimates(factor, hm: HarmonicMeasure, p: float, restarts: int,
     return tuple(estimates)
 
 
-def _validated_epsilons(hm: HarmonicMeasure, epsilon: float | Sequence[float]) -> list[float]:
-    """The damping levels as floats; raises unless each one can be split at ``hm.theta``."""
+def _validated_epsilons(domain: TriangleDomain, hm: HarmonicMeasure,
+                        epsilon: float | Sequence[float]) -> list[float]:
+    """The damping levels as floats; raises unless ``hm`` is the measure of
+    ``domain`` and each level can be split at ``hm.theta``."""
+    if hm.domain != domain:
+        raise DomainError(f"the measure belongs to {hm.domain}, not to {domain}")
     epsilons = [float(e) for e in np.atleast_1d(epsilon)]
     theta = hm.theta
     if theta < 1e-6 or theta > 1.0 - 1e-6:
@@ -223,7 +227,7 @@ def split(
     operators are cross-checked against it.
     """
     _check_p(p)
-    epsilons = _validated_epsilons(hm, epsilon)
+    epsilons = _validated_epsilons(domain, hm, epsilon)
     nodes = node_constants(semigroup, hm, p, restarts, seed)
     certs = _split_engine(
         semigroup, domain, hm, epsilons,

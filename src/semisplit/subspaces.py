@@ -99,8 +99,9 @@ def _ratio_extremum(T: OperatorMatrix, X: Subspace, p: float, maximize: bool,
     starts += [rng.standard_normal(2 * k) for _ in range(restarts)]
     # fatol is absolute, so a ratio far from 1 is brought to [1/2, 1) by an
     # exact power of two 2^e (ldexp on the real and imaginary parts), taken
-    # back out of the extremum at the end
-    scale = ratio(starts[0])
+    # back out of the extremum at the end; where |Tf|^p underflows, the
+    # ratio reads 0 and the entries give the scale instead
+    scale = ratio(starts[0]) or float(np.abs(TB).max() / np.abs(B).max())
     e = 0 if 2.0**-8 <= scale <= 2.0**8 else math.frexp(scale)[1]
     if e:
         TB = np.ldexp(TB.view(np.float64), -e).view(np.complex128)

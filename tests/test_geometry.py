@@ -1,6 +1,5 @@
 import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -196,21 +195,86 @@ def test_strip_coordinate_is_finite_near_the_corner_s_plus_a_minus_ib(
     assert max(offsets) - min(offsets) < 1e-7
 
 
-def test_strip_coordinate_is_finite_on_v1_near_the_corner_s_plus_a_minus_ib(
-    default_domain, default_measure
+@pytest.mark.parametrize("side", [-1, 1], ids=["s+a-ib", "s+a+ib"])
+def test_strip_coordinate_is_finite_on_v1_near_either_corner(
+    default_domain, default_measure, side
 ):
-    # the same corner law along the vertical edge: Im w falls by
-    # ln(10) / (pi beta) per decade of distance, with Re w = 1 throughout
+    # the same corner law along the vertical edge: |Im w| grows by
+    # ln(r_far / r_near) / (pi beta), with Re w = 1 throughout; r is the exact
+    # distance of the rounded point, whose rounding alone moves a nominal
+    # decade by 2.4e-10 at r = 1e-8
     V = default_domain
     apex, vp, vm = V.vertices
     beta = abs(cmath.phase((apex - vm) / (vp - vm))) / math.pi
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        ws = [strip_coordinate(V, default_measure, vm + 1j * 10.0**-k).w for k in range(3, 9)]
+    corner = vp if side > 0 else vm
+    zs = [corner - side * 1j * 10.0**-k for k in range(3, 13)]
+    ws = [strip_coordinate(V, default_measure, z).w for z in zs]
     assert all(math.isfinite(w.imag) and w.real == 1.0 for w in ws)
-    decade = math.log(10) / (math.pi * beta)
-    for w_far, w_near in zip(ws, ws[1:]):
-        assert (w_far.imag - w_near.imag) == pytest.approx(decade, rel=1e-8)
+    rs = [abs(z - corner) for z in zs]
+    for w_far, w_near, r_far, r_near in zip(ws, ws[1:], rs, rs[1:]):
+        law = math.log(r_far / r_near) / (math.pi * beta)
+        assert side * (w_near.imag - w_far.imag) == pytest.approx(law, rel=1e-12)
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["s+a-ib", "s+a+ib"])
+def test_v1_corners_have_no_strip_coordinate(default_domain, default_measure, side):
+    # Im w tends to -inf at s+a-ib and to +inf at s+a+ib
+    corner = default_domain.vertices[1 if side > 0 else 2]
+    with pytest.raises(DomainError):
+        strip_coordinate(default_domain, default_measure, corner)
+    with pytest.raises(DomainError):
+        triangle_damping(default_domain, default_measure, 1e-2, corner)
+
+
+def test_conformal_map_keeps_its_v1_corner_values(default_domain):
+    apex, vp, vm = default_domain.vertices
+    at_vm = conformal_to_disk(default_domain, vm)
+    assert abs(abs(at_vm) - 1.0) <= 1e-12
+    assert conformal_to_disk(default_domain, vp) == at_vm.conjugate()
+
+
+def test_inverse_map_commutes_with_conjugation(default_domain, default_measure):
+    # the triangle, t and the measure are symmetric about the real axis
+    V, hm = default_domain, default_measure
+    apex, vp, vm = V.vertices
+    points = [vm + 1j * 10.0**-k for k in range(1, 13)]
+    points += [vp - 1j * 10.0**-k for k in range(1, 13)]
+    points += [tau * c for tau in (0.1, 0.5, 0.9, 1 - 1e-6) for c in (vm, vp)]
+    points += list(np.random.default_rng(3).dirichlet(np.ones(3), 50) @ np.array(V.vertices))
+    for z in map(complex, points):
+        w, w_mirror = (strip_coordinate(V, hm, x).w for x in (z, z.conjugate()))
+        assert w_mirror == w.conjugate(), z
+        om, om_mirror = (conformal_to_disk(V, x) for x in (z, z.conjugate()))
+        assert om_mirror == om.conjugate(), z
+
+
+def test_v1_points_near_s_plus_a_minus_ib_take_the_corner_chart(
+    monkeypatch, default_domain, default_measure
+):
+    from semisplit.geometry import _TriangleMap
+
+    calls = []
+    vertical = _TriangleMap._invert_vertical
+
+    def spy(self, z):
+        calls.append(z)
+        return vertical(self, z)
+
+    monkeypatch.setattr(_TriangleMap, "_invert_vertical", spy)
+    V, vm = default_domain, default_domain.vertices[2]
+    for k in range(2, 9):
+        strip_coordinate(V, default_measure, vm + 1j * 10.0**-k)
+    assert calls == []
+    # the Newton step in the strip ordinate still answers V1 near the real axis
+    strip_coordinate(V, default_measure, complex(vm.real, -1e-3))
+    assert len(calls) == 1
+
+
+def test_strip_coordinate_rejects_another_domains_measure(default_domain, default_measure):
+    other = TriangleDomain(default_domain.s, default_domain.a, default_domain.b,
+                           0.6 * (default_domain.s + default_domain.a))
+    with pytest.raises(DomainError):
+        strip_coordinate(other, default_measure, other.t)
 
 
 def test_strip_coordinate_matches_dirichlet_monte_carlo(default_domain, default_measure):
@@ -271,6 +335,21 @@ def test_density_at_non_node_boundary_point(default_measure, default_domain):
     above = min((x for x in same_edge if x[0].edge_parameter > 0.37), key=lambda x: x[0].edge_parameter)
     lo, hi = sorted((below[1], above[1]))
     assert 0.5 * lo <= d <= 2.0 * hi
+
+
+def test_density_is_symmetric_about_the_real_axis(default_measure, default_domain):
+    from semisplit.geometry import BoundaryPoint
+
+    hm = default_measure
+    apex, vp, vm = default_domain.vertices
+    pairs = [
+        (BoundaryPoint(0.37 * vm, "V0", 0.37, 0), BoundaryPoint(0.37 * vp, "V0", 0.63, 2)),
+        (BoundaryPoint(vm + 0.3 * (vp - vm), "V1", 0.3, 1),
+         BoundaryPoint(vp + 0.3 * (vm - vp), "V1", 0.7, 1)),
+    ]
+    for lower, upper in pairs:
+        assert upper.z == lower.z.conjugate()
+        assert hm.density(upper) == hm.density(lower) > 0
 
 
 def test_strip_coordinate_rejects_outside_point(default_domain, default_measure):

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from semisplit import (
     CubeNoiseSemigroup,
     FiniteProbabilitySpace,
+    IdealNorm,
     OperatorMatrix,
     TriangleDomain,
     approximant,
     certificate_text,
     dimension_sweep,
+    generic_split,
     harmonic_measure,
     node_constants,
     opnorm_lower,
@@ -337,6 +339,29 @@ def test_dimension_sweep_fails_before_any_ascent(
     with pytest.raises(error):
         dimension_sweep(default_domain, default_measure, P, epsilon, n_range)
     assert calls == []
+
+
+def test_another_domains_measure_fails_before_any_ascent(
+    monkeypatch, default_domain, default_measure, cube3
+):
+    # the measure of the default triangle at another interior point t
+    other = TriangleDomain(default_domain.s, default_domain.a, default_domain.b,
+                           0.6 * (default_domain.s + default_domain.a))
+    calls = _count_ascents(monkeypatch)
+    with pytest.raises(DomainError):
+        split(CubeNoiseSemigroup(2), other, default_measure, P, 1e-2)
+    with pytest.raises(DomainError):
+        dimension_sweep(other, default_measure, P, 1e-2, [1, 2])
+    norms = []
+
+    def counted(A):
+        norms.append(A)
+        return 1.0
+
+    with pytest.raises(DomainError):
+        generic_split(cube3, other, default_measure, IdealNorm("counted", counted, 1.0),
+                      counted, 1e-2)
+    assert calls == [] and norms == []
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,17 @@ def test_search_is_scale_free(monkeypatch, case, p):
     assert statuses and set(statuses) == {0}
 
 
+def test_underflowing_ratio_is_rescaled():
+    # at 2^-997 the powers |Tf|^p underflow, so the ratio at the first start
+    # reads 0; the entries still set the power of two, which is exact here
+    T, X = CubeNoiseSemigroup(3).evaluate(0.3), first_level_subspace(3)
+    base = restricted_isomorphism_check(T, X, P)
+    tiny = restricted_isomorphism_check(
+        OperatorMatrix(T.entries * 2.0**-997, T.domain, T.codomain), X, P
+    )
+    assert tiny == (base[0] * 2.0**-997, base[1] * 2.0**-997)
+
+
 def test_unconverged_search_raises(monkeypatch):
     T, X = _non_normal_case()
     _recording_minimize(monkeypatch, maxiter=2)
