@@ -372,7 +372,8 @@ def run_checks(cfg: ExperimentConfig) -> int:
     )
     check(
         "ideal-compatibility",
-        max(c_hs, c_tr) <= 1.0 + 1e-9 and c_g2 <= 1.0 + 1e-3,
+        all(c <= ideal.C * (1 + tol)
+            for c, ideal, tol in ((c_hs, hs, 1e-9), (c_tr, tr, 1e-9), (c_g2, g2, 1e-3))),
         f"ratios hs {c_hs:.6f} trace {c_tr:.6f} into-hilbert {c_g2:.6f}",
     )
 

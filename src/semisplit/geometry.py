@@ -29,7 +29,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "TriangleDomain",
-    "BoundaryPoint",
     "HarmonicMeasure",
     "StripCoordinate",
     "conformal_to_disk",
@@ -145,16 +144,6 @@ class TriangleDomain:
         foot = starts[:, None] + ts * dirs[:, None]
         d = np.abs(p[None, :] - foot)
         return d.min(axis=0), d.argmin(axis=0)
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A boundary point with its edge chart; part is V1 exactly when Re z = s+a."""
-
-    z: complex
-    part: str
-    edge_parameter: float
-    edge_id: int
 
 
 @dataclass(frozen=True)
@@ -636,7 +625,9 @@ class HarmonicMeasure:
     is the (smooth) Poisson kernel; each half-edge is graded toward its corner
     with a power substitution so that the pullback of analytic integrands keeps
     spectral accuracy despite the corner exponents of the conformal map.
-    Per-node arrays: ``weights`` and the read-only ``z``, ``w_strip``, ``is_v1``.
+    Read-only per-node arrays: ``z``, ``weights``, ``w_strip``, ``is_v1``,
+    ``edge`` (the edge index of :attr:`TriangleDomain.edges`) and ``tau`` (the
+    node's parameter in [0, 1] along that edge).
     """
 
     def __init__(self, domain: TriangleDomain, nodes_per_edge: int):
@@ -765,13 +756,13 @@ class HarmonicMeasure:
         density = np.concatenate([r[6] for r in rows])
 
         order = np.lexsort((tau, edge))
-        self._edge = edge[order].astype(int)
+        self.edge = edge[order].astype(int)
         self.z = z[order]
-        self._tau = tau[order]
+        self.tau = tau[order]
         self.weights = weights[order]
         self._zeta = zeta_all[order]
         self._density = density[order]
-        self.is_v1 = self._edge == 1
+        self.is_v1 = self.edge == 1
         w_strip = w_strip[order]
 
         total = float(self.weights.sum())
@@ -790,33 +781,21 @@ class HarmonicMeasure:
         if drift > 1e-7:
             raise ConvergenceError(f"strip coordinates drifted {drift} off the boundary lines")
         self.w_strip = np.where(self.is_v1, 1.0, 0.0) + 1j * w_strip.imag
-        for arr in (self.z, self.w_strip, self.is_v1):
+        for arr in (self.z, self.weights, self.w_strip, self.is_v1, self.edge, self.tau):
             arr.flags.writeable = False
 
-        self.nodes = tuple(
-            BoundaryPoint(
-                complex(self.z[i]),
-                "V1" if self.is_v1[i] else "V0",
-                float(self._tau[i]),
-                int(self._edge[i]),
-            )
-            for i in range(self.z.size)
-        )
-
-    @property
-    def quadrature_nodes(self) -> list[tuple[BoundaryPoint, float]]:
-        return [(bp, float(w)) for bp, w in zip(self.nodes, self.weights)]
-
-    def density(self, point: BoundaryPoint) -> float:
-        """Density of the measure with respect to arclength at a boundary point."""
-        for i, bp in enumerate(self.nodes):
-            if bp.edge_id == point.edge_id and abs(bp.edge_parameter - point.edge_parameter) < 1e-14:
-                return float(self._density[i])
+    def density(self, z: complex) -> float:
+        """Density of the measure with respect to arclength at the boundary point z."""
+        z = complex(z)
+        at_node = np.flatnonzero(self.z == z)
+        if at_node.size:
+            return float(self._density[at_node[0]])
+        dist, _ = self.domain.edge_distance([z])
+        if dist[0] > 1e-9 * self.domain.scale:
+            raise DomainError(f"{z} is not a boundary point")
         m = self._map
         # the density is symmetric about the real axis, like the triangle
-        zeta, _ = m.invert(point.z.conjugate() if point.z.imag > 0 else point.z)
-        if abs(zeta.imag) > 1e-6 * (1 + abs(zeta)):
-            raise DomainError(f"{point.z} is not a boundary point")
+        zeta, _ = m.invert(z.conjugate() if z.imag > 0 else z)
         x = zeta.real
         return float(m.poisson(x) / abs(m.fprime(complex(x, 0.0))))
 
@@ -824,22 +803,18 @@ class HarmonicMeasure:
         """Quadrature of per-node values against the measure."""
         return complex(np.sum(np.asarray(values) * self.weights))
 
-    def boundary_values(self, fn) -> np.ndarray:
-        return np.array([fn(z) for z in self.z])
 
-
-def strip_coordinate(domain: TriangleDomain, hm: HarmonicMeasure, z: complex) -> StripCoordinate:
-    """Strip coordinate w(z) with w(t) = theta, Re(w) = 0 on V0 and 1 on V1.
+def strip_coordinate(hm: HarmonicMeasure, z: complex) -> StripCoordinate:
+    """Strip coordinate w(z) on ``hm.domain``: w(t) = theta, Re(w) = 0 on V0 and 1 on V1.
 
     w commutes with conjugation, and Im w tends to -inf at s+a-ib and to +inf at s+a+ib.
     """
-    if hm.domain != domain:
-        raise DomainError(f"the measure belongs to {hm.domain}, not to {domain}")
+    domain = hm.domain
     if not domain.contains(z, tol=1e-9):
         raise DomainError(f"{z} is not in the closed triangle")
     z = complex(z)
     if z.imag > 0:
-        return StripCoordinate(strip_coordinate(domain, hm, z.conjugate()).w.conjugate())
+        return StripCoordinate(strip_coordinate(hm, z.conjugate()).w.conjugate())
     if abs(z - domain.t) < 1e-15 * domain.scale:
         return StripCoordinate(complex(hm.theta))
     _, one_minus = hm._map.invert(z)
@@ -852,11 +827,9 @@ def strip_coordinate(domain: TriangleDomain, hm: HarmonicMeasure, z: complex) ->
     return StripCoordinate(w)
 
 
-def triangle_damping(
-    domain: TriangleDomain, hm: HarmonicMeasure, epsilon: float, z: complex
-) -> complex:
-    """The damping function on the triangle: 1 at t, modulus epsilon on V0."""
-    w = strip_coordinate(domain, hm, z).w
+def triangle_damping(hm: HarmonicMeasure, epsilon: float, z: complex) -> complex:
+    """The damping function on ``hm.domain``: 1 at t, modulus epsilon on V0."""
+    w = strip_coordinate(hm, z).w
     return complex(strip_damping(hm.theta, epsilon, w))
 
 
@@ -873,6 +846,8 @@ def brownian_exit_theta(
     until it reaches a thin boundary shell; the nearest edge then decides the
     exit side.  Returns (estimate, standard error).
     """
+    if walkers < 1:
+        raise DomainError(f"need at least one walker, got {walkers}")
     rng = np.random.default_rng(seed)
     z0 = complex(domain.t if start is None else start)
     if not domain.contains(z0, tol=-1e-12):
@@ -907,9 +882,10 @@ def brownian_exit_theta(
 def node_table(hm: HarmonicMeasure) -> str:
     """Plain text export: one node per line (edge id, parameter, Re z, Im z, weight, part)."""
     lines = ["# edge parameter re_z im_z weight part"]
-    for bp, w in hm.quadrature_nodes:
-        lines.append(
-            f"{bp.edge_id} {bp.edge_parameter:.16e} {bp.z.real:.16e} "
-            f"{bp.z.imag:.16e} {w:.16e} {bp.part}"
-        )
+    # tolist() gives the Python ints and floats whose formatting the table fixes
+    for edge, tau, x, y, w, on_v1 in zip(
+        hm.edge.tolist(), hm.tau.tolist(), hm.z.real.tolist(), hm.z.imag.tolist(),
+        hm.weights.tolist(), hm.is_v1.tolist(),
+    ):
+        lines.append(f"{edge} {tau:.16e} {x:.16e} {y:.16e} {w:.16e} {'V1' if on_v1 else 'V0'}")
     return "\n".join(lines) + "\n"

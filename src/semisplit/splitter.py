@@ -113,10 +113,14 @@ def _node_estimates(factor, hm: HarmonicMeasure, p: float, restarts: int,
 def _validated_epsilons(domain: TriangleDomain, hm: HarmonicMeasure,
                         epsilon: float | Sequence[float]) -> list[float]:
     """The damping levels as floats; raises unless ``hm`` is the measure of
-    ``domain`` and each level can be split at ``hm.theta``."""
+    ``domain``, ``epsilon`` is one level or a non-empty flat sequence of them,
+    and each level can be split at ``hm.theta``."""
     if hm.domain != domain:
         raise DomainError(f"the measure belongs to {hm.domain}, not to {domain}")
-    epsilons = [float(e) for e in np.atleast_1d(epsilon)]
+    levels = np.atleast_1d(epsilon)
+    if levels.ndim != 1 or levels.size == 0:
+        raise DomainError(f"epsilon must be a level or a non-empty flat sequence, got {epsilon!r}")
+    epsilons = [float(e) for e in levels]
     theta = hm.theta
     if theta < 1e-6 or theta > 1.0 - 1e-6:
         raise IllConditionedSplitError(

@@ -170,7 +170,7 @@ def test_criterion_5_damping_exactness(acceptance_log, default_domain, default_m
     v0_err = float(np.abs(np.abs(psi[~hm.is_v1]) - eps).max())
     target = eps ** ((hm.theta - 1) / hm.theta)
     v1_err = float(np.abs(np.abs(psi[hm.is_v1]) / target - 1.0).max())
-    at_t = abs(triangle_damping(default_domain, hm, eps, default_domain.t) - 1.0)
+    at_t = abs(triangle_damping(hm, eps, default_domain.t) - 1.0)
     ok = v0_err <= 1e-7 and v1_err <= 1e-6 and at_t <= 1e-10
     assert record(
         acceptance_log, 5, ok,

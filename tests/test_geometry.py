@@ -105,7 +105,7 @@ def test_measure_mass_and_mean_value(default_measure, default_domain):
         (lambda z: z * z, V.t**2),
         (lambda z: cmath.exp(z / 2), cmath.exp(V.t / 2)),
     ]:
-        got = hm.integrate(hm.boundary_values(fn))
+        got = hm.integrate([fn(z) for z in hm.z])
         assert abs(got - expect) <= 1e-7
 
 
@@ -115,9 +115,8 @@ def test_measure_theta_and_parts(default_measure):
     v1_mass = hm.weights[hm.is_v1].sum()
     assert abs(v1_mass - hm.theta) <= 1e-8
     sa = hm.domain.s + hm.domain.a
-    for bp in hm.nodes:
-        assert (bp.part == "V1") == (abs(bp.z.real - sa) <= 1e-12)
-        assert 0.0 <= bp.edge_parameter <= 1.0
+    np.testing.assert_array_equal(hm.is_v1, np.abs(hm.z.real - sa) <= 1e-12)
+    assert ((0.0 <= hm.tau) & (hm.tau <= 1.0)).all()
 
 
 def test_measure_requires_enough_nodes(default_domain):
@@ -138,6 +137,12 @@ def test_theta_against_brownian_oracle_flat_instance():
     hm = harmonic_measure(V, 256)
     est, se = brownian_exit_theta(V, walkers=100_000, seed=0)
     assert abs(est - hm.theta) <= 3 * se
+
+
+@pytest.mark.parametrize("walkers", [0, -5])
+def test_brownian_exit_theta_needs_a_walker(default_domain, walkers):
+    with pytest.raises(DomainError):
+        brownian_exit_theta(default_domain, walkers=walkers)
 
 
 def test_theta_monotone_in_t():
@@ -167,14 +172,14 @@ def test_pushforward_arc_positions(default_measure):
 
 def test_strip_coordinate_values(default_domain, default_measure):
     V, hm = default_domain, default_measure
-    assert abs(strip_coordinate(V, hm, V.t).w - hm.theta) <= 1e-12
+    assert abs(strip_coordinate(hm, V.t).w - hm.theta) <= 1e-12
     sa = V.s + V.a
     for y in (-0.3, 0.0, 0.25):
-        w = strip_coordinate(V, hm, complex(sa, y * V.b)).w
+        w = strip_coordinate(hm, complex(sa, y * V.b)).w
         assert abs(w.real - 1.0) <= 1e-8
     for tau in (0.2, 0.6, 0.9):
         zb = tau * V.vertices[2]  # lower slant edge
-        w = strip_coordinate(V, hm, zb).w
+        w = strip_coordinate(hm, zb).w
         assert abs(w.real) <= 1e-8
 
 
@@ -189,7 +194,7 @@ def test_strip_coordinate_is_finite_near_the_corner_s_plus_a_minus_ib(
     beta = abs(cmath.phase((apex - vm) / (vp - vm))) / math.pi
     offsets = []
     for r in (1e-4, 1e-5, 1e-6, 1e-8):
-        w = strip_coordinate(V, default_measure, vm + r * (apex - vm) / abs(apex - vm)).w
+        w = strip_coordinate(default_measure, vm + r * (apex - vm) / abs(apex - vm)).w
         assert math.isfinite(w.imag)
         offsets.append(w.imag - math.log(r) / (math.pi * beta))
     assert max(offsets) - min(offsets) < 1e-7
@@ -208,7 +213,7 @@ def test_strip_coordinate_is_finite_on_v1_near_either_corner(
     beta = abs(cmath.phase((apex - vm) / (vp - vm))) / math.pi
     corner = vp if side > 0 else vm
     zs = [corner - side * 1j * 10.0**-k for k in range(3, 13)]
-    ws = [strip_coordinate(V, default_measure, z).w for z in zs]
+    ws = [strip_coordinate(default_measure, z).w for z in zs]
     assert all(math.isfinite(w.imag) and w.real == 1.0 for w in ws)
     rs = [abs(z - corner) for z in zs]
     for w_far, w_near, r_far, r_near in zip(ws, ws[1:], rs, rs[1:]):
@@ -221,9 +226,9 @@ def test_v1_corners_have_no_strip_coordinate(default_domain, default_measure, si
     # Im w tends to -inf at s+a-ib and to +inf at s+a+ib
     corner = default_domain.vertices[1 if side > 0 else 2]
     with pytest.raises(DomainError):
-        strip_coordinate(default_domain, default_measure, corner)
+        strip_coordinate(default_measure, corner)
     with pytest.raises(DomainError):
-        triangle_damping(default_domain, default_measure, 1e-2, corner)
+        triangle_damping(default_measure, 1e-2, corner)
 
 
 def test_conformal_map_keeps_its_v1_corner_values(default_domain):
@@ -242,7 +247,7 @@ def test_inverse_map_commutes_with_conjugation(default_domain, default_measure):
     points += [tau * c for tau in (0.1, 0.5, 0.9, 1 - 1e-6) for c in (vm, vp)]
     points += list(np.random.default_rng(3).dirichlet(np.ones(3), 50) @ np.array(V.vertices))
     for z in map(complex, points):
-        w, w_mirror = (strip_coordinate(V, hm, x).w for x in (z, z.conjugate()))
+        w, w_mirror = (strip_coordinate(hm, x).w for x in (z, z.conjugate()))
         assert w_mirror == w.conjugate(), z
         om, om_mirror = (conformal_to_disk(V, x) for x in (z, z.conjugate()))
         assert om_mirror == om.conjugate(), z
@@ -263,18 +268,11 @@ def test_v1_points_near_s_plus_a_minus_ib_take_the_corner_chart(
     monkeypatch.setattr(_TriangleMap, "_invert_vertical", spy)
     V, vm = default_domain, default_domain.vertices[2]
     for k in range(2, 9):
-        strip_coordinate(V, default_measure, vm + 1j * 10.0**-k)
+        strip_coordinate(default_measure, vm + 1j * 10.0**-k)
     assert calls == []
     # the Newton step in the strip ordinate still answers V1 near the real axis
-    strip_coordinate(V, default_measure, complex(vm.real, -1e-3))
+    strip_coordinate(default_measure, complex(vm.real, -1e-3))
     assert len(calls) == 1
-
-
-def test_strip_coordinate_rejects_another_domains_measure(default_domain, default_measure):
-    other = TriangleDomain(default_domain.s, default_domain.a, default_domain.b,
-                           0.6 * (default_domain.s + default_domain.a))
-    with pytest.raises(DomainError):
-        strip_coordinate(other, default_measure, other.t)
 
 
 def test_strip_coordinate_matches_dirichlet_monte_carlo(default_domain, default_measure):
@@ -283,7 +281,7 @@ def test_strip_coordinate_matches_dirichlet_monte_carlo(default_domain, default_
     verts = np.array(V.vertices)
     pts = rng.dirichlet((1.5, 1.5, 1.5), size=20) @ verts
     for z in pts:
-        w = strip_coordinate(V, hm, complex(z)).w
+        w = strip_coordinate(hm, complex(z)).w
         est, se = brownian_exit_theta(V, walkers=6_000, seed=11, start=complex(z))
         # the 5/N term covers exit probabilities too small to register
         assert abs(w.real - est) <= 3 * se + 5.0 / 6_000
@@ -292,7 +290,7 @@ def test_strip_coordinate_matches_dirichlet_monte_carlo(default_domain, default_
 def test_damping_on_domain(default_domain, default_measure):
     V, hm = default_domain, default_measure
     eps = 1e-2
-    assert abs(triangle_damping(V, hm, eps, V.t) - 1.0) <= 1e-10
+    assert abs(triangle_damping(hm, eps, V.t) - 1.0) <= 1e-10
     psi = strip_damping(hm.theta, eps, hm.w_strip)
     on_v0 = np.abs(psi[~hm.is_v1])
     assert np.abs(on_v0 - eps).max() <= 1e-7
@@ -301,72 +299,96 @@ def test_damping_on_domain(default_domain, default_measure):
     assert np.abs(on_v1 / target - 1).max() <= 1e-6
 
 
+def _disk_map_density(V, z, edge_id):
+    """|phi'| / (2 pi) at the boundary point z, by finite differences of the
+    disk map along its edge."""
+    start, end = V.edges[edge_id]
+    direction = (end - start) / abs(end - start)
+    h = 1e-6 * V.scale
+    om1 = conformal_to_disk(V, z + h * direction)
+    om0 = conformal_to_disk(V, z - h * direction)
+    return abs(cmath.phase(om1 / om0)) / (2 * h) / (2 * math.pi)
+
+
 def test_density_matches_map_derivative(default_measure, default_domain):
-    # density of the measure = |phi'| / (2 pi), checked by finite differences
-    # of the disk map along the boundary at a few nodes
+    # density of the measure = |phi'| / (2 pi), checked at a few nodes
     hm, V = default_measure, default_domain
-    idx = [10, 60, 100, 150]
-    for i in idx:
-        bp = hm.nodes[i]
-        d = hm.density(bp)
-        edge = {0: (0, V.vertices[2]), 1: (V.vertices[2], V.vertices[1]), 2: (V.vertices[1], 0)}[
-            bp.edge_id
-        ]
-        direction = (edge[1] - edge[0]) / abs(edge[1] - edge[0])
-        h = 1e-6 * V.scale
-        om1 = conformal_to_disk(V, bp.z + h * direction)
-        om0 = conformal_to_disk(V, bp.z - h * direction)
-        dphi = abs(cmath.phase(om1 / om0)) / (2 * h)
-        assert d == pytest.approx(dphi / (2 * math.pi), rel=1e-4)
+    for i in [10, 60, 100, 150]:
+        z = complex(hm.z[i])
+        assert hm.density(z) == pytest.approx(_disk_map_density(V, z, hm.edge[i]), rel=1e-4)
+
+
+def test_density_at_a_node_is_the_stored_density(default_measure):
+    hm = default_measure
+    for i, z in enumerate(hm.z):
+        assert hm.density(z) == hm._density[i]
+
+
+def test_density_off_the_nodes_is_the_inverse_map_value(default_measure, default_domain):
+    # the point alone decides the value: 0.9 (s+a-ib) lies between nodes of
+    # edge 0, and no node's density is within 6% of its own
+    hm, V = default_measure, default_domain
+    z = 0.9 * V.vertices[2]
+    assert z not in hm.z
+    d = hm.density(z)
+    assert d == pytest.approx(0.0048865, rel=1e-4)
+    assert d == pytest.approx(_disk_map_density(V, z, 0), rel=1e-4)
+    assert not np.isclose(hm._density, d, rtol=1e-2, atol=0).any()
+
+
+def test_density_rejects_points_off_the_boundary(default_measure, default_domain):
+    for z in (default_domain.t, 1.0, -1.0):
+        with pytest.raises(DomainError):
+            default_measure.density(z)
 
 
 def test_density_at_non_node_boundary_point(default_measure, default_domain):
-    from semisplit.geometry import BoundaryPoint
-
     hm, V = default_measure, default_domain
     # a query point between stored nodes on the lower slant edge
-    z = 0.37 * V.vertices[2]
-    bp = BoundaryPoint(z, "V0", 0.37, 0)
-    d = hm.density(bp)
+    d = hm.density(0.37 * V.vertices[2])
     assert d > 0
     # interpolate neighbors as a sanity envelope
-    same_edge = [(n, hm._density[i]) for i, n in enumerate(hm.nodes) if n.edge_id == 0]
-    below = max((x for x in same_edge if x[0].edge_parameter < 0.37), key=lambda x: x[0].edge_parameter)
-    above = min((x for x in same_edge if x[0].edge_parameter > 0.37), key=lambda x: x[0].edge_parameter)
-    lo, hi = sorted((below[1], above[1]))
+    on_edge = np.flatnonzero(hm.edge == 0)
+    below = on_edge[hm.tau[on_edge] < 0.37].max()
+    above = on_edge[hm.tau[on_edge] > 0.37].min()
+    lo, hi = sorted(hm.density(hm.z[i]) for i in (below, above))
     assert 0.5 * lo <= d <= 2.0 * hi
 
 
 def test_density_is_symmetric_about_the_real_axis(default_measure, default_domain):
-    from semisplit.geometry import BoundaryPoint
-
     hm = default_measure
     apex, vp, vm = default_domain.vertices
-    pairs = [
-        (BoundaryPoint(0.37 * vm, "V0", 0.37, 0), BoundaryPoint(0.37 * vp, "V0", 0.63, 2)),
-        (BoundaryPoint(vm + 0.3 * (vp - vm), "V1", 0.3, 1),
-         BoundaryPoint(vp + 0.3 * (vm - vp), "V1", 0.7, 1)),
-    ]
-    for lower, upper in pairs:
-        assert upper.z == lower.z.conjugate()
-        assert hm.density(upper) == hm.density(lower) > 0
+    for lower in (0.37 * vm, vm + 0.3 * (vp - vm)):
+        assert hm.density(lower.conjugate()) == hm.density(lower) > 0
 
 
-def test_strip_coordinate_rejects_outside_point(default_domain, default_measure):
+def test_node_arrays_are_read_only(default_measure):
+    for name in ("z", "weights", "w_strip", "is_v1", "edge", "tau"):
+        arr = getattr(default_measure, name)
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_strip_coordinate_rejects_outside_point(default_measure):
     with pytest.raises(DomainError):
-        strip_coordinate(default_domain, default_measure, complex(-0.2, 0.0))
+        strip_coordinate(default_measure, complex(-0.2, 0.0))
 
 
 def test_node_table_format(default_measure):
-    text = node_table(default_measure)
+    hm = default_measure
+    text = node_table(hm)
     lines = text.strip().splitlines()
     assert lines[0].startswith("#")
-    assert len(lines) == 1 + len(default_measure.nodes)
-    fields = lines[1].split()
-    assert len(fields) == 6
-    int(fields[0])
-    float(fields[1]), float(fields[2]), float(fields[3]), float(fields[4])
-    assert fields[5] in ("V0", "V1")
+    assert len(lines) == 1 + hm.z.size
+    # each row is (edge, tau, z, weight, part) read from the node arrays
+    for i, line in enumerate(lines[1:]):
+        fields = line.split()
+        assert len(fields) == 6
+        assert int(fields[0]) == hm.edge[i]
+        assert float(fields[1]) == hm.tau[i]
+        assert complex(float(fields[2]), float(fields[3])) == hm.z[i]
+        assert float(fields[4]) == hm.weights[i]
+        assert fields[5] == ("V1" if hm.is_v1[i] else "V0")
 
 
 def _edge_distances_scalar(domain, z):

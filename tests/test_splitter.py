@@ -95,16 +95,16 @@ def test_eq1_chain_at_nodes(default_measure):
     V = hm.domain
     S = CubeNoiseSemigroup(2)
     tested = 0
-    for bp in hm.nodes[:: 6]:
-        if bp.part != "V0":
+    for z, on_v1 in zip(hm.z[:: 6].tolist(), hm.is_v1[:: 6]):
+        if on_v1:
             continue
-        w = bp.z.real - V.a
+        w = z.real - V.a
         if w <= 1e-6:
             continue
-        lhs = opnorm_lower(S.evaluate(bp.z), P, P, restarts=8, seed=0).value
+        lhs = opnorm_lower(S.evaluate(z), P, P, restarts=8, seed=0).value
         rhs = (
             opnorm_lower(S.evaluate(w), P, P, restarts=8, seed=0).value
-            * opnorm_lower(S.evaluate(complex(V.a, bp.z.imag)), P, P, restarts=8, seed=0).value
+            * opnorm_lower(S.evaluate(complex(V.a, z.imag)), P, P, restarts=8, seed=0).value
         )
         assert lhs <= rhs * (1 + 1e-3)
         tested += 1
@@ -116,11 +116,11 @@ def test_eq2_chain_at_nodes(default_measure):
     V = hm.domain
     S = CubeNoiseSemigroup(2)
     s_norm = opnorm_lower(S.evaluate(V.s), P, 2.0, restarts=8, seed=0).value
-    for bp in hm.nodes[:: 8]:
-        if bp.part != "V1":
+    for z, on_v1 in zip(hm.z[:: 8].tolist(), hm.is_v1[:: 8]):
+        if not on_v1:
             continue
-        lhs = opnorm_lower(S.evaluate(bp.z), P, 2.0, restarts=8, seed=0).value
-        rhs = s_norm * opnorm_lower(S.evaluate(bp.z - V.s), P, P, restarts=8, seed=0).value
+        lhs = opnorm_lower(S.evaluate(z), P, 2.0, restarts=8, seed=0).value
+        rhs = s_norm * opnorm_lower(S.evaluate(z - V.s), P, P, restarts=8, seed=0).value
         assert lhs <= rhs * (1 + 1e-3)
 
 
@@ -362,6 +362,30 @@ def test_another_domains_measure_fails_before_any_ascent(
         generic_split(cube3, other, default_measure, IdealNorm("counted", counted, 1.0),
                       counted, 1e-2)
     assert calls == [] and norms == []
+
+
+@pytest.mark.parametrize("epsilon", [[], (), np.array([]), [[0.1]], [[0.1, 1e-2]]],
+                         ids=["list", "tuple", "array", "2-d", "2-d-pair"])
+def test_empty_or_nested_epsilons_fail_before_any_ascent(
+    monkeypatch, default_domain, default_measure, cube3, epsilon
+):
+    from semisplit.splitter import _node_estimates
+
+    memo = _node_estimates.cache_info()
+    calls = _count_ascents(monkeypatch)
+    with pytest.raises(DomainError):
+        split(cube3, default_domain, default_measure, P, epsilon)
+    norms = []
+
+    def counted(A):
+        norms.append(A)
+        return 1.0
+
+    with pytest.raises(DomainError):
+        generic_split(cube3, default_domain, default_measure, IdealNorm("counted", counted, 1.0),
+                      counted, epsilon)
+    assert calls == [] and norms == []
+    assert _node_estimates.cache_info() == memo
 
 
 @pytest.mark.parametrize(
