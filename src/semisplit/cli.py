@@ -30,7 +30,7 @@ from .geometry import (
     strip_to_disk,
 )
 from .ideals import make_gamma2, make_schatten_like, measure_compatibility, spectral_norm
-from .opnorm import DEFAULT_RESTARTS, hypercontractive_time, opnorm_lower
+from .opnorm import DEFAULT_RESTARTS, PADDING, hypercontractive_time, opnorm_lower
 from .semigroups import (
     CubeNoiseSemigroup,
     DiagonalMultiplierSemigroup,
@@ -354,7 +354,7 @@ def run_checks(cfg: ExperimentConfig) -> int:
                 opnorm_lower(A, r, 2.0, restarts=8, seed=cfg.seed).value
                 * opnorm_lower(Bm, cfg.p, r, restarts=8, seed=cfg.seed).value
             )
-            ok = ok and lhs <= rhs * (1 + 1e-3)
+            ok = ok and lhs <= rhs * (1 + PADDING)
     check("norm-submultiplicativity", ok)
 
     pairs = []
@@ -373,7 +373,7 @@ def run_checks(cfg: ExperimentConfig) -> int:
     check(
         "ideal-compatibility",
         all(c <= ideal.C * (1 + tol)
-            for c, ideal, tol in ((c_hs, hs, 1e-9), (c_tr, tr, 1e-9), (c_g2, g2, 1e-3))),
+            for c, ideal, tol in ((c_hs, hs, 1e-9), (c_tr, tr, 1e-9), (c_g2, g2, PADDING))),
         f"ratios hs {c_hs:.6f} trace {c_tr:.6f} into-hilbert {c_g2:.6f}",
     )
 

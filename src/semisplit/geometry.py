@@ -17,6 +17,7 @@ of the integration variable u take the upper limit on the negative real axis
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -632,7 +633,6 @@ class HarmonicMeasure:
 
     def __init__(self, domain: TriangleDomain, nodes_per_edge: int):
         self.domain = domain
-        self.nodes_per_edge = int(nodes_per_edge)
         m = _triangle_map(domain)
         self._map = m
         self.theta = m.theta
@@ -846,8 +846,8 @@ def brownian_exit_theta(
     until it reaches a thin boundary shell; the nearest edge then decides the
     exit side.  Returns (estimate, standard error).
     """
-    if walkers < 1:
-        raise DomainError(f"need at least one walker, got {walkers}")
+    if not isinstance(walkers, numbers.Integral) or walkers < 1:
+        raise DomainError(f"need a whole number of walkers, at least one; got {walkers!r}")
     rng = np.random.default_rng(seed)
     z0 = complex(domain.t if start is None else start)
     if not domain.contains(z0, tol=-1e-12):

@@ -2,7 +2,7 @@
 
 Every reported value is certified by a witness function attaining the ratio;
 upper-bound confidence comes from oracle agreement on small instances and from
-the (1 + 1e-3) padding used by downstream inequality checks.
+the relative ``PADDING`` that downstream inequality checks allow.
 """
 
 from __future__ import annotations
@@ -30,10 +30,13 @@ __all__ = [
     "hypercontractive_time",
     "DEFAULT_RESTARTS",
     "ORACLE_DIM_LIMIT",
+    "PADDING",
 ]
 
 DEFAULT_RESTARTS = 32
 ORACLE_DIM_LIMIT = 6
+# relative slack of every inequality checked against lower-bound estimates
+PADDING = 1e-3
 _ORACLE_RANDOM_DIRECTIONS = 100_000
 _ASCENT_MAX_ITER = 500
 _ASCENT_TOL = 1e-12
@@ -431,21 +434,21 @@ def hypercontractive_time(p: float, semigroup) -> float:
     """Smallest time at which the cube noise semigroup maps L_p into L_2 contractively.
 
     Returns s* = -(1/2) log(p-1) and verifies the threshold numerically: the
-    p->2 norm at s* must not exceed 1 + 1e-3, and at 0.9 s* it must exceed
-    1 + 1e-3 (the latter checked for power >= 2 where the excess is comfortable).
+    p->2 norm at s* must not exceed 1 + PADDING, and at 0.9 s* it must exceed
+    1 + PADDING (the latter checked for power >= 2 where the excess is comfortable).
     """
     _check_p(p)
     s_star = -0.5 * math.log(p - 1.0)
     at = opnorm_lower(semigroup.evaluate(s_star), p, 2.0, seed=7)
-    if at.value > 1.0 + 1e-3:
+    if at.value > 1.0 + PADDING:
         raise ConvergenceError(
-            f"norm at the threshold came out {at.value}, above 1 + 1e-3"
+            f"norm at the threshold came out {at.value}, above 1 + {PADDING}"
         )
     if semigroup.power >= 2:
         below = opnorm_lower(semigroup.evaluate(0.9 * s_star), p, 2.0, seed=7)
-        if not below.value > 1.0 + 1e-3:
+        if not below.value > 1.0 + PADDING:
             raise ConvergenceError(
                 f"norm below the threshold came out {below.value}, "
-                "not above 1 + 1e-3; estimator missed the witness"
+                f"not above 1 + {PADDING}; estimator missed the witness"
             )
     return s_star

@@ -139,7 +139,7 @@ def test_theta_against_brownian_oracle_flat_instance():
     assert abs(est - hm.theta) <= 3 * se
 
 
-@pytest.mark.parametrize("walkers", [0, -5])
+@pytest.mark.parametrize("walkers", [0, -5, 2.5])
 def test_brownian_exit_theta_needs_a_walker(default_domain, walkers):
     with pytest.raises(DomainError):
         brownian_exit_theta(default_domain, walkers=walkers)

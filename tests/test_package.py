@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import semisplit
+import semisplit.cli
 
 MODULES = ("spaces", "semigroups", "opnorm", "geometry", "splitter", "ideals", "subspaces")
 
@@ -23,18 +24,36 @@ def test_package_all_has_no_duplicates():
     assert len(semisplit.__all__) == len(set(semisplit.__all__))
 
 
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while the file runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 def test_perfbench_trace_targets_resolve():
     # the benchmark's tracer patches each target by name; a refactor that
     # drops one fails here instead of only under `perfbench/run.py --trace 1`
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench("spans")
     for _, module_name, attr_path in spans.TARGETS:
         module = importlib.import_module(module_name)
         owner_name, _, attr = attr_path.rpartition(".")
         owner = getattr(module, owner_name) if owner_name else module
         assert attr in vars(owner), f"{module_name}.{attr_path}"
+
+
+def test_perfbench_limits_match_the_library():
+    # the benchmark keeps its own copies of the reconstruction gate and of
+    # the padding, which is its ascent-vs-oracle limit
+    workloads = _load_perfbench("workloads")
+    assert workloads.RECON_CEILING == semisplit.cli.GATES["recon_error"]
+    assert workloads.GAP_LIMIT == semisplit.PADDING
 
 
 def test_import_does_not_load_scipy_optimize():

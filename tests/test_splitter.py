@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import hadamard
 
 from semisplit import (
     CubeNoiseSemigroup,
@@ -62,6 +63,85 @@ def test_split_reconstruction_scales_with_scalar_error(
         floor = 1e-13 * eps ** cert.exponent
         upper = sum(math.comb(n, k) * r[k] for k in range(n + 1))
         assert r.max() - floor <= cert.recon_error_pp <= upper + floor
+
+
+def _fsum_level_residuals(hm, eps, n):
+    """r_k = sum_i c_i e^(-k z_i) - e^(-k t) for k = 0..n, each level summed exactly."""
+    coeff = hm.weights * strip_damping(hm.theta, eps, hm.w_strip)
+    r = []
+    for k in range(n + 1):
+        terms = [*(coeff * np.exp(-k * hm.z)), -math.exp(-k * hm.domain.t)]
+        r.append(complex(math.fsum(x.real for x in terms), math.fsum(x.imag for x in terms)))
+    return np.array(r)
+
+
+def test_split_residual_is_the_quadrature_residual_multiplier(
+    monkeypatch, default_domain, default_measure, cube3
+):
+    # T(t) - (1-theta) T0 - theta T1 sends the Walsh character of S to -r_|S|
+    import semisplit.splitter
+
+    residuals = []
+
+    def capturing(A, *args, **kwargs):
+        residuals.append(A)
+        return opnorm_lower(A, *args, **kwargs)
+
+    monkeypatch.setattr(semisplit.splitter, "opnorm_lower", capturing)
+    eps_set = (1e-1, 1e-2)
+    split(cube3, default_domain, default_measure, P, eps_set, seed=0, oracle_check=False)
+    assert len(residuals) == len(eps_set)
+    sizes = np.array([bin(i).count("1") for i in range(2**cube3.n)])
+    H = hadamard(2**cube3.n)
+    for eps, A in zip(eps_set, residuals):
+        expected = -_fsum_level_residuals(default_measure, eps, cube3.n)[sizes]
+        np.testing.assert_allclose(A.walsh, expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(np.diag(H @ A.entries @ H) / H.shape[0], expected,
+                                   rtol=0, atol=1e-14)
+
+
+def test_split_residual_ascent_takes_the_walsh_path(monkeypatch, default_domain, default_measure):
+    import semisplit.opnorm
+    import semisplit.splitter
+
+    products = []
+    walsh_product = semisplit.opnorm._walsh_product
+
+    def counting_product(mult, F):
+        products.append(mult.shape)
+        return walsh_product(mult, F)
+
+    residuals = []
+
+    def residual_norm(A, *args, **kwargs):
+        before = len(products)
+        est = opnorm_lower(A, *args, **kwargs)
+        residuals.append((A, len(products) - before))
+        return est
+
+    monkeypatch.setattr(semisplit.opnorm, "_walsh_product", counting_product)
+    monkeypatch.setattr(semisplit.splitter, "opnorm_lower", residual_norm)
+    split(CubeNoiseSemigroup(7), default_domain, default_measure, P, 1e-2, seed=0)
+    [(A, walsh_calls)] = residuals
+    assert A.walsh is not None and A.walsh.shape == (2**7,)
+    assert walsh_calls > 0
+
+
+def test_split_evaluates_only_the_one_bit_factor(monkeypatch, default_domain, cold_measure):
+    from semisplit import DiagonalMultiplierSemigroup
+
+    sizes = []
+    evaluate = DiagonalMultiplierSemigroup.evaluate
+
+    def spy(self, z):
+        sizes.append(self.space.size)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(DiagonalMultiplierSemigroup, "evaluate", spy)
+    monkeypatch.setattr(CubeNoiseSemigroup, "evaluate", spy)
+    split(CubeNoiseSemigroup(4), default_domain, cold_measure, P, (1e-1, 1e-2), restarts=4,
+          seed=0)
+    assert sizes and set(sizes) == {2}
 
 
 def test_split_bounds_padding_tracks_node_maxima(default_domain, default_measure, cube3):
@@ -330,7 +410,7 @@ def test_split_stacks_t0_and_t1_over_its_damping_levels(
     "epsilon, n_range, error",
     [(0.0, [1, 2], DomainError), (1.5, [1, 2], DomainError),
      (1e-2, [0, 2], DomainError), (1e-2, [2, 11], CostGuardError),
-     (1e-2, [], DomainError)],
+     (1e-2, [], DomainError), ([1e-1, 1e-2], [1], DomainError), ((1e-2,), [1], DomainError)],
 )
 def test_dimension_sweep_fails_before_any_ascent(
     monkeypatch, default_domain, default_measure, epsilon, n_range, error
@@ -572,5 +652,3 @@ def test_certificate_text_round_trip(default_domain, default_measure, cube3):
     assert "epsilon: 0.01" in text
     assert "bound_T0_ok: true" in text
     assert "elided (8x8 complex)" in text
-    full = certificate_text(cert, include_matrices=True)
-    assert full.count("\n") > text.count("\n")
