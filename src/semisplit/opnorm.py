@@ -40,6 +40,8 @@ PADDING = 1e-3
 _ORACLE_RANDOM_DIRECTIONS = 100_000
 _ASCENT_MAX_ITER = 500
 _ASCENT_TOL = 1e-12
+# weight of the extrapolation past each dual image in the ascent step
+_ASCENT_BETA = 0.8
 # from this many atoms on, a stack of Walsh multipliers is applied by the fast
 # transform; below it the dense product is faster (measured crossover)
 _WALSH_MIN_ATOMS = 128
@@ -50,7 +52,9 @@ class NormEstimate:
     """A certified lower bound on an operator norm.
 
     ``steps`` counts the ascent steps run for the operator (0 for the zero
-    operator); below ``_ASCENT_MAX_ITER`` the ascent stopped on its stall rule.
+    operator), each one product with the operator and one with its adjoint,
+    steps whose extrapolated point was rejected included; below
+    ``_ASCENT_MAX_ITER`` the ascent stopped on its stall rule.
     ``start`` names the kind of start the witness ascended from: "atom",
     "constant", "svd", "bifurcation" or "random" (the zero operator's witness
     is the constant function).
@@ -91,6 +95,19 @@ def _dual_image(Z: np.ndarray, expo: float) -> np.ndarray:
     return ph
 
 
+def _dual_step(H: np.ndarray, pconj: float, p: float, w: np.ndarray):
+    """The dual image of H into L_p (exponent pconj - 1) and its L_p column norms.
+
+    ||F||_p^p = w @ |H|^pconj, so the norms take no pass over |F|.
+    """
+    absH = np.abs(H)
+    F = _phase(H, absH)
+    mag = absH ** (pconj - 1.0)
+    F *= mag
+    mag *= absH
+    return F, (w @ mag) ** (1.0 / p)
+
+
 def _check_exponent(p: float) -> None:
     if not (p >= 1.0) or p == math.inf:
         raise InvalidExponentError(f"exponent must be a finite real >= 1, got {p}")
@@ -115,8 +132,14 @@ def opnorm_lower(
     constant function, every atom indicator (scored directly; the best one
     joins the ascent batch), the top singular vector of the weighted 2->2
     problem, and bifurcation mixes of the two leading singular directions.
-    The returned value is always a certified lower bound, re-evaluated from
-    the witness.  This is :func:`opnorm_lower_many` on a stack of one.
+    Each step takes the dual (Boyd/Higham) power step of every start and
+    scores only its extrapolation ``_ASCENT_BETA`` past the previous dual
+    image; a start whose extrapolated ratio falls keeps its iterate, so its
+    ratio never falls (see :func:`_ascent`).  The ascent stops after three
+    steps that raise the best ratio by at most ``_ASCENT_TOL * max(1, best)``,
+    or at ``_ASCENT_MAX_ITER`` steps.  The returned value is always a
+    certified lower bound, re-evaluated from the witness.  This is
+    :func:`opnorm_lower_many` on a stack of one.
     """
     return opnorm_lower_many([A], p, q, restarts, seed)[0]
 
@@ -131,9 +154,11 @@ def opnorm_lower_many(
     """:func:`opnorm_lower` of each operator, run as one ascent on their stack.
 
     The operators share a domain and a codomain.  Each one gets the starts,
-    steps and stall rule of its own call, on the same random block, so each
-    estimate equals ``opnorm_lower(A, p, q, restarts, seed)`` bit for bit; an
-    operator leaves the stack as soon as its ascent stops.
+    steps and stall rule of its own call, on the same random block, and each
+    of its columns keeps its own iterate, image, ratio and last dual image, so
+    each estimate equals ``opnorm_lower(A, p, q, restarts, seed)`` bit for
+    bit, ``steps`` and ``start`` included; an operator leaves the stack, with
+    that state, as soon as its ascent stops.
 
     When every operator carries a Walsh multiplier (``OperatorMatrix.walsh``)
     and the space has at least ``_WALSH_MIN_ATOMS`` atoms, the ascent steps
@@ -214,6 +239,17 @@ def _ascent(M, mult, win, wout, p, q, restarts, seed, lead):
     Returns the best function found for each operator, one row each, the
     number of steps each one ran and the kind of start each best function
     ascended from.
+
+    Each step takes the dual power step x^_k of every column from its
+    accepted iterate (one product with the adjoint) and scores only
+    y = x^_k + _ASCENT_BETA (x^_k - x^_(k-1)) (one product with the
+    operator), an extrapolation with adaptive restart (O'Donoghue and
+    Candes, Found. Comput. Math. 15, 2015).  The first step is plain, and so
+    is every step at p = 1, whose dual step is an atom.  When y scores below
+    the column's accepted ratio, the column keeps its iterate, image and
+    ratio; its next dual image then repeats x^_k, so its next step is plain.
+    Accepted ratios never fall, and the stall rule counts steps, rejected
+    ones included.
     """
     L, _, d = M.shape
     rows = np.arange(L)
@@ -263,7 +299,8 @@ def _ascent(M, mult, win, wout, p, q, restarts, seed, lead):
             r = np.where(fp > 0, gq / np.where(fp > 0, fp, 1.0), 0.0)
         return r, G
 
-    # live: stack positions still ascending; best and stall are aligned with it
+    # live: stack positions still ascending; best, stall and the column state
+    # below are aligned with it
     live = rows
     best = ind_ratios.max(axis=1)
     witness = np.zeros((L, d), dtype=complex)
@@ -272,17 +309,19 @@ def _ascent(M, mult, win, wout, p, q, restarts, seed, lead):
     won = np.ones(L, dtype=int)
     steps = np.zeros(L, dtype=int)
 
-    r, G = ratios_of(F)
-    top = r.max(axis=1)
+    # X, G, ratio: each column's accepted iterate, its image and its ratio
+    ratio, G = ratios_of(F)
+    X = F
+    top = ratio.max(axis=1)
     up = np.flatnonzero(top > best)
     best[up] = top[up]
-    won[up] = r[up].argmax(axis=1)
+    won[up] = ratio[up].argmax(axis=1)
     witness[up] = F[up, :, won[up]]
 
+    prev = None  # each column's last dual image
     stall = np.zeros(L, dtype=int)
     for step in range(1, _ASCENT_MAX_ITER + 1):
         U = _dual_image(G, q - 1.0)
-        del G
         U *= wout[:, None]
         if mult is None:
             # M^H U as conj(M^T conj(U)): the same products, so no conjugate copy of M
@@ -298,30 +337,49 @@ def _ascent(M, mult, win, wout, p, q, restarts, seed, lead):
             F = np.zeros_like(H)
             at, col = np.arange(H.shape[0])[:, None], np.arange(H.shape[2])
             idx = np.argmax(np.abs(H), axis=1)
-            F[at, idx, col] = _phase(H[at, idx, col])
+            peak = _phase(H[at, idx, col])
+            F[at, idx, col] = peak
+            norms = win[idx] * np.abs(peak)
         else:
-            F = _dual_image(H, pconj - 1.0)
+            F, norms = _dual_step(H, pconj, p, win)
         del H
-        norms = _colnorms(F, p, win)
         dead = norms == 0
         if np.any(dead):
             F.transpose(0, 2, 1)[dead] = 1.0
             norms = _colnorms(F, p, win)
         F /= norms[:, None, :]
-        absF = np.abs(F)
+        if prev is None or pconj == math.inf:
+            # the first step is plain, and so is every step onto atoms
+            Y = F
+        else:
+            # extrapolate past the new dual image, away from the last one.  A
+            # column whose last point was rejected kept its iterate, so its
+            # dual image repeats the last one and its step is plain.
+            Y = F - prev
+            Y *= _ASCENT_BETA
+            Y += F
+        prev = F
+        absY = np.abs(Y)
         # components decaying double-exponentially toward an indicator limit
         # reach denormal range within a few iterations; flush them
-        tiny = absF < 1e-250
-        F[tiny] = 0.0
-        absF[tiny] = 0.0
-        r, G = ratios_of(F, absF)
-        top = r.max(axis=1)
+        tiny = absY < 1e-250
+        Y[tiny] = 0.0
+        absY[tiny] = 0.0
+        r, GY = ratios_of(Y, absY)
+        # safeguard: a column whose ratio fell keeps its iterate, image and ratio
+        fell = r < ratio
+        if fell.any():
+            Y = np.where(fell[:, None, :], X, Y)
+            GY = np.where(fell[:, None, :], G, GY)
+            r = np.where(fell, ratio, r)
+        X, G, ratio = Y, GY, r
+        top = ratio.max(axis=1)
         up = np.flatnonzero(top > best + _ASCENT_TOL * np.maximum(1.0, best))
         stall += 1
         if up.size:
             best[up] = top[up]
-            arg = r[up].argmax(axis=1)
-            witness[live[up]] = F[up, :, arg]
+            arg = ratio[up].argmax(axis=1)
+            witness[live[up]] = X[up, :, arg]
             won[live[up]] = arg
             stall[up] = 0
         if stall.max() >= 3:
@@ -330,7 +388,7 @@ def _ascent(M, mult, win, wout, p, q, restarts, seed, lead):
             live, best, stall = live[going], best[going], stall[going]
             if not live.size:
                 break
-            G = G[going]
+            X, G, ratio, prev = X[going], G[going], ratio[going], prev[going]
             if mult is None:
                 M = M[going]
             else:

@@ -29,6 +29,7 @@ from semisplit.errors import (
     ShapeError,
 )
 from semisplit.opnorm import (
+    _ASCENT_BETA,
     _ASCENT_MAX_ITER,
     _ASCENT_TOL,
     _ORACLE_RANDOM_DIRECTIONS,
@@ -234,12 +235,22 @@ def _ref_dual_image(Z, expo):
     return mag * _ref_phase(Z, absz)
 
 
-def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
-    """opnorm_lower as it was written first: M.conj().T is formed on every step.
+def _ref_dual_step(H, pconj, p, w):
+    absH = np.abs(H)
+    mag = absH ** (pconj - 1.0)
+    return mag * _ref_phase(H, absH), (w @ (mag * absH)) ** (1.0 / p)
 
-    It runs on frozen copies of the column-norm, phase and dual-image helpers
-    as they were first written, so the library's helpers are checked against
-    them rather than against themselves.
+
+def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
+    """opnorm_lower on one operator, with M.conj().T formed on every step.
+
+    Each step takes the plain dual image of each column's accepted iterate,
+    extrapolates it by _ASCENT_BETA past the column's previous dual image
+    (not at p = 1, nor on a column's first step or the step after a
+    rejection) and scores only that point; a column whose ratio falls keeps
+    its iterate.  It runs on frozen copies of the column-norm, phase and
+    dual-image helpers, so the library's helpers are checked against them
+    rather than against themselves.
     """
     M = A.entries
     win = A.domain.weights
@@ -280,15 +291,18 @@ def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
         gq = _ref_colnorms(G, q, wout)
         with np.errstate(invalid="ignore", divide="ignore"):
             r = np.where(fp > 0, gq / np.where(fp > 0, fp, 1.0), 0.0)
-        return r, G, fp
+        return r, G
 
     best_val = float(np.max(ind_ratios))
     witness_vec = np.zeros(d, dtype=complex)
     witness_vec[best_ind] = 1.0
-    r, G, fp = ratios_of(F)
+    r, G = ratios_of(F)
     if r.max() > best_val:
         best_val = float(r.max())
         witness_vec = F[:, int(np.argmax(r))].copy()
+    # the accepted iterate, image and ratio of each column
+    X, R = F, r
+    prev, plain = None, np.ones(F.shape[1], dtype=bool)
     stall = 0
     for _ in range(_ASCENT_MAX_ITER):
         U = _ref_dual_image(G, q - 1.0)
@@ -297,23 +311,32 @@ def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
             F = np.zeros_like(H)
             idx = np.argmax(np.abs(H), axis=0)
             F[idx, np.arange(H.shape[1])] = _ref_phase(H[idx, np.arange(H.shape[1])])
+            norms = _ref_colnorms(F, p, win)
         else:
-            F = _ref_dual_image(H, pconj - 1.0)
-        norms = _ref_colnorms(F, p, win)
+            F, norms = _ref_dual_step(H, pconj, p, win)
         dead = norms == 0
         if np.any(dead):
             F[:, dead] = 1.0
             norms = _ref_colnorms(F, p, win)
         F = F / norms[None, :]
-        absF = np.abs(F)
-        tiny = absF < 1e-250
-        F[tiny] = 0.0
-        absF[tiny] = 0.0
-        r, G, fp = ratios_of(F, absF)
-        new_best = float(r.max())
+        if pconj == math.inf or prev is None:
+            Y = F
+        else:
+            Y = np.where(plain[None, :], F, (F - prev) * _ASCENT_BETA + F)
+        prev = F
+        absY = np.abs(Y)
+        tiny = absY < 1e-250
+        Y[tiny] = 0.0
+        absY[tiny] = 0.0
+        r, GY = ratios_of(Y, absY)
+        plain = r < R
+        X = np.where(plain[None, :], X, Y)
+        G = np.where(plain[None, :], G, GY)
+        R = np.where(plain, R, r)
+        new_best = float(R.max())
         if new_best > best_val + _ASCENT_TOL * max(1.0, best_val):
             best_val = new_best
-            witness_vec = F[:, int(np.argmax(r))].copy()
+            witness_vec = X[:, int(np.argmax(R))].copy()
             stall = 0
         else:
             stall += 1

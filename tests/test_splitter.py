@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from semisplit import (
     strip_damping,
 )
 from semisplit.errors import CostGuardError, DomainError, IllConditionedSplitError
+from semisplit.opnorm import _ASCENT_MAX_ITER
 from semisplit.splitter import PADDING
 
 P = 1.5
@@ -644,6 +650,103 @@ def test_dimension_sweep_rows_are_split_fields(default_domain):
 def test_dimension_sweep_cost_guard(default_domain, default_measure):
     with pytest.raises(CostGuardError):
         dimension_sweep(default_domain, default_measure, P, 1e-2, [2, 12])
+
+
+# (C0, C1, norm_T0_pp, norm_T1_p2) of the default dimsweep (eps = 0.1) at
+# n = 2..8, and (norm_T0_pp, norm_T1_p2) of the default split at n = 3..6 for
+# eps = 1e-1..1e-4, as the plain dual ascent measured them.  They stay as
+# floors: a step rule that lowers one of these lower bounds is a regression.
+_PLAIN_SWEEP = {
+    2: (1.0000000000000004, 1.0000000000000004, 0.04123879794518411, 1.3194971051155342),
+    3: (1.0000000000000007, 1.0000000000000007, 0.0427935022795348, 1.320237785433192),
+    4: (1.0000000000000009, 1.0000000000000009, 0.042942555254031976, 1.3209701127839688),
+    5: (1.000000000000001, 1.000000000000001, 0.043158368717638715, 1.3216941302182603),
+    6: (1.0000000000000013, 1.0000000000000013, 0.04334370469149161, 1.322409883848082),
+    7: (1.0000000000000016, 1.0000000000000016, 0.043343634198230126, 1.3231174227001035),
+    8: (1.0000000000000018, 1.0000000000000018, 0.04335029224510629, 1.3238167985630902),
+}
+_PLAIN_SPLIT = {
+    3: ((0.0427935022795348, 1.320237785433192), (0.001530328352765163, 1.3319493927488164),
+        (6.824247590559078e-05, 1.3321345428217632), (4.023701962241595e-06, 1.3321386743280352)),
+    4: ((0.042942555254031976, 1.3209701127839688), (0.0017900620593947736, 1.3331854141177388),
+        (8.63865972495045e-05, 1.3333924186729074), (5.230236184763415e-06, 1.333397563037512)),
+    5: ((0.043158368717638715, 1.3216941302182603), (0.0019833164754465733, 1.3344216114414535),
+        (0.00010225584733885632, 1.3346514277805093), (6.341215758982865e-06, 1.3346576352728459)),
+    6: ((0.04334370469149161, 1.322409883848082), (0.0021117219292749664, 1.3356579569902558),
+        (0.00011561099149678927, 1.3359115691357069), (7.340177094675392e-06, 1.335918892119649)),
+}
+
+
+# Run at one BLAS thread, as the benchmark and the byte-identical outputs
+# are: with more threads the n = 8 T0 ascent can stop at another witness.
+_DEFAULTS_AT_ONE_THREAD = """
+import json, math
+import semisplit.splitter
+from semisplit import CubeNoiseSemigroup, TriangleDomain, dimension_sweep, harmonic_measure, split
+
+many = semisplit.splitter.opnorm_lower_many
+t0_steps = {}
+
+def spy(ops, p, q, *args):
+    estimates = many(ops, p, q, *args)
+    if q == p and ops[0].domain.size > 2:
+        t0_steps.setdefault(ops[0].domain.size.bit_length() - 1, estimates[0].steps)
+    return estimates
+
+semisplit.splitter.opnorm_lower_many = spy
+domain = TriangleDomain.with_defaults(-0.5 * math.log(0.5))
+hm = harmonic_measure(domain, 64)
+sweep = [list(row) for row in dimension_sweep(domain, hm, 1.5, 0.1, range(2, 9))]
+splits = {n: [[c.C0_measured, c.C1_measured, c.norm_T0_pp, c.norm_T1_p2]
+              for c in split(CubeNoiseSemigroup(n), domain, hm, 1.5, [1e-1, 1e-2, 1e-3, 1e-4])]
+          for n in range(3, 7)}
+print(json.dumps({"sweep": sweep, "t0_steps": t0_steps, "splits": splits}))
+"""
+
+
+@pytest.fixture(scope="module")
+def defaults_at_one_thread():
+    """The default dimsweep rows, the steps of its T0 ascents by n, and the
+    (C0, C1, norm_T0_pp, norm_T1_p2) of the default split at n = 3..6 by eps."""
+    import semisplit
+
+    src = str(Path(semisplit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEFAULTS_AT_ONE_THREAD], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path, **threads),
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    return (out["sweep"], {int(n): k for n, k in out["t0_steps"].items()},
+            {int(n): v for n, v in out["splits"].items()})
+
+
+def test_default_sweep_t0_ascents_stop_before_the_cap(defaults_at_one_thread):
+    _, t0_steps, _ = defaults_at_one_thread
+    assert t0_steps[7] < _ASCENT_MAX_ITER
+    assert t0_steps[8] < _ASCENT_MAX_ITER
+
+
+def test_default_sweep_values_do_not_fall_below_the_plain_ascent(defaults_at_one_thread):
+    rows, _, _ = defaults_at_one_thread
+    assert [row[0] for row in rows] == list(_PLAIN_SWEEP)
+    for n, _theta, *measured in rows:
+        for got, plain in zip(measured, _PLAIN_SWEEP[n]):
+            assert got >= plain, (n, got, plain)
+    # T0 at n = 7 acts as T0 at n = 6 on the functions of the first 6 bits,
+    # so the n = 6 lower bound is one at n = 7 too; the plain ascent stopped short of it
+    assert rows[5][4] >= _PLAIN_SWEEP[6][2]
+
+
+def test_default_split_values_do_not_fall_below_the_plain_ascent(defaults_at_one_thread):
+    _, _, splits = defaults_at_one_thread
+    for n, certs in splits.items():
+        c0, c1 = _PLAIN_SWEEP[n][:2]
+        for (got_c0, got_c1, t0, t1), (plain_t0, plain_t1) in zip(certs, _PLAIN_SPLIT[n]):
+            assert got_c0 >= c0 and got_c1 >= c1
+            assert t0 >= plain_t0 and t1 >= plain_t1, (n, t0, plain_t0, t1, plain_t1)
 
 
 def test_certificate_text_round_trip(default_domain, default_measure, cube3):
