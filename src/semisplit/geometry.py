@@ -2,11 +2,12 @@
 
 The domain V is the open triangle with vertices 0 and s+a+-ib; its boundary
 splits into the vertical segment V1 (Re z = s+a) and the two slanted edges V0.
-The Riemann map onto the unit disk is built from the Schwarz-Christoffel map of
-the upper half-plane onto the triangle, with prevertices fixed at 0, 1 and
-infinity (a triangle has no accessory-parameter problem), composed with the
-Moebius map of the half-plane onto the disk sending the preimage of the
-interior point t to 0.
+The harmonic measure at the interior point t is built from the
+Schwarz-Christoffel map of the upper half-plane onto the triangle, with
+prevertices fixed at 0, 1 and infinity (a triangle has no accessory-parameter
+problem).  Only this forward map is evaluated, at the quadrature nodes; its
+inverse, the Riemann map onto the disk, lives in tests/triangle_reference.py
+as a reference for the tests.
 
 Branch conventions: the parameter domain is the closed upper half-plane; powers
 of the integration variable u take the upper limit on the negative real axis
@@ -31,15 +32,10 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "TriangleDomain",
     "HarmonicMeasure",
-    "StripCoordinate",
-    "conformal_to_disk",
-    "conformal_from_disk",
     "harmonic_measure",
-    "strip_coordinate",
     "strip_to_disk",
     "disk_to_strip",
     "strip_damping",
-    "triangle_damping",
     "brownian_exit_theta",
     "node_table",
 ]
@@ -147,17 +143,6 @@ class TriangleDomain:
         return d.min(axis=0), d.argmin(axis=0)
 
 
-@dataclass(frozen=True)
-class StripCoordinate:
-    """A point of the closed unit strip 0 <= Re(w) <= 1."""
-
-    w: complex
-
-    def __post_init__(self):
-        if not (-1e-9 <= self.w.real <= 1 + 1e-9):
-            raise DomainError(f"strip coordinate has Re(w) = {self.w.real}, outside [0, 1]")
-
-
 class _TriangleMap:
     """Schwarz-Christoffel machinery for one TriangleDomain.
 
@@ -187,8 +172,6 @@ class _TriangleMap:
         self.xt = self.zeta_t.real
         self.yt = self.zeta_t.imag
         self.theta = math.atan2(self.yt, 1.0 - self.xt) / math.pi
-        # rotation making the disk map derivative at t a positive real
-        self.gamma = math.pi / 2 + float(np.angle(self.fprime(self.zeta_t)))
 
     # ----- forward map ----------------------------------------------------
 
@@ -273,62 +256,7 @@ class _TriangleMap:
             * _pow_half(1.0 - zeta, self.beta - 1.0, upper=False)
         )
 
-    # ----- inversion --------------------------------------------------------
-
-    def _newton_chart(self, chart, dchart, start: complex, target: complex, max_iter=80):
-        x = complex(start)
-        err = chart(x) - target
-        tol = 1e-13 * (1.0 + abs(target))
-        for _ in range(max_iter):
-            if abs(err) <= tol:
-                return x
-            step = err / dchart(x)
-            for _ in range(40):
-                xn = x - step
-                err_n = chart(xn) - target
-                if abs(err_n) <= abs(err) or abs(step) < 1e-17 * (1 + abs(x)):
-                    break
-                step /= 2
-            x, err = xn, err_n
-        if abs(err) <= 1e-10 * (1.0 + abs(target)):
-            return x
-        raise ConvergenceError(f"Newton stalled: target {target}, residual {abs(err)}")
-
-    def _invert_corner(self, z: complex) -> tuple[complex, complex] | None:
-        """(zeta, 1 - zeta) through the apex or s+a-ib chart in its power variable, or None.
-
-        The chart at s+a-ib solves for sigma = 1 - zeta itself, which is kept:
-        zeta = 1 - sigma rounds to 1 once sigma falls below 1e-16.
-        """
-        # apex: z ~ (C/alpha) zeta^alpha, eta = zeta^alpha
-        eta0 = self.alpha * z / self.C
-        if abs(eta0) <= 0.4**self.alpha:
-
-            def chart(e):
-                return complex(self.chart_apex(_pow_half(e, 1.0 / self.alpha, upper=True)))
-
-            def dchart(e):
-                zz = _pow_half(e, 1.0 / self.alpha, upper=True)
-                return self.C * _pow_half(1.0 - zz, self.beta - 1.0, upper=False) / self.alpha
-
-            eta = self._newton_chart(chart, dchart, eta0, z)
-            zeta = complex(_pow_half(eta, 1.0 / self.alpha, upper=True))
-            return zeta, 1.0 - zeta
-        # vm: z ~ vm - (C/beta) sigma^beta with sigma = 1 - zeta
-        eta0 = self.beta * (self.vm - z) / self.C
-        if abs(eta0) <= 0.4**self.beta:
-
-            def chart(e):
-                return complex(self.chart_vm(_pow_half(e, 1.0 / self.beta, upper=False)))
-
-            def dchart(e):
-                sig = _pow_half(e, 1.0 / self.beta, upper=False)
-                return -self.C * _pow_half(1.0 - sig, self.alpha - 1.0, upper=True) / self.beta
-
-            eta = self._newton_chart(chart, dchart, eta0, z)
-            sigma = complex(_pow_half(eta, 1.0 / self.beta, upper=False))
-            return 1.0 - sigma, sigma
-        return None
+    # ----- locating t -------------------------------------------------------
 
     def _newton_plain(self, start: complex, target: complex, max_iter=60):
         x = complex(start)
@@ -361,71 +289,6 @@ class _TriangleMap:
             return best
         raise ConvergenceError(f"Newton did not reach {target}; residual {best_err}")
 
-    def _invert_vertical(self, z: complex) -> complex:
-        """Inversion for points of the vertical edge, monotone in the strip ordinate."""
-        q = self.yt / math.sin(math.pi * self.theta)
-        y = 0.0
-        for _ in range(80):
-            zeta = 1.0 + q * math.exp(math.pi * y)
-            if zeta == 1.0:
-                # rounded onto the prevertex of s+a-ib, where f gives NaN
-                raise ConvergenceError(f"vertical-edge inversion reached the corner at {z}")
-            err = self.f(zeta) - z
-            if abs(err) <= 1e-14 * (1.0 + abs(z)):
-                return zeta
-            dzdy = self.fprime(zeta) * q * math.pi * math.exp(math.pi * y)
-            step = (err / dzdy).real if dzdy != 0 else math.copysign(0.5, -err.imag)
-            step = max(min(step, 1.5), -1.5)
-            y -= step
-        zeta = 1.0 + q * math.exp(math.pi * y)
-        if abs(self.f(zeta) - z) <= 1e-10 * (1.0 + abs(z)):
-            return zeta
-        raise ConvergenceError(f"vertical-edge inversion stalled at {z}")
-
-    def invert(self, z: complex) -> tuple[complex, complex]:
-        """(zeta, 1 - zeta) for the preimage zeta of z in closure(V) with Im z <= 0."""
-        z = complex(z)
-        try:
-            found = self._invert_corner(z)
-        except ConvergenceError:
-            found = None
-        if found is not None:
-            return self._clip_uhp(*found, z)
-        sa = self.domain.s + self.domain.a
-        if abs(z.real - sa) <= 1e-11 * self.domain.scale and abs(z.imag) < self.domain.b:
-            # the part of V1 beyond the reach of the s+a-ib chart
-            try:
-                zeta = self._invert_vertical(z)
-                return zeta, 1.0 - zeta
-            except ConvergenceError:
-                pass
-        # continuation along the straight path from t, which stays in the convex domain
-        z0 = complex(self.domain.t)
-        zeta = self.zeta_t
-        lam, step, guard = 0.0, 1.0, 0
-        while lam < 1.0:
-            lam_next = min(1.0, lam + step)
-            target = z0 + (z - z0) * lam_next
-            try:
-                zeta_next = self._newton_plain(zeta, target)
-            except ConvergenceError:
-                step /= 2
-                guard += 1
-                if guard > 80:
-                    raise
-                continue
-            zeta, lam = zeta_next, lam_next
-            step = min(1.0, step * 1.7)
-        return self._clip_uhp(zeta, 1.0 - zeta, z)
-
-    def _clip_uhp(self, zeta: complex, one_minus: complex, z: complex) -> tuple[complex, complex]:
-        if zeta.imag < 0:
-            if zeta.imag < -1e-8 * (1.0 + abs(zeta)):
-                raise ConvergenceError(f"inversion of {z} left the half-plane: {zeta}")
-            zeta = complex(zeta.real, 0.0)
-            one_minus = complex(one_minus.real, 0.0)
-        return zeta, one_minus
-
     def _locate(self, t: float) -> complex:
         """Bootstrap the preimage of the interior point t by continuation from f(i)."""
         zeta = 1j
@@ -448,18 +311,7 @@ class _TriangleMap:
             raise ConvergenceError("the preimage of t must be interior to the half-plane")
         return zeta
 
-    # ----- disk and strip coordinates --------------------------------------
-
-    def mobius(self, zeta) -> complex:
-        zeta = np.asarray(zeta, dtype=complex)
-        out = np.exp(1j * self.gamma) * (zeta - self.zeta_t) / (zeta - np.conj(self.zeta_t))
-        return out if out.shape else complex(out)
-
-    def mobius_inverse(self, omega: complex) -> complex:
-        m = complex(omega) * np.exp(-1j * self.gamma)
-        if abs(1.0 - m) < 1e-14:
-            raise ConvergenceError("disk point corresponds to the prevertex at infinity")
-        return (self.zeta_t - np.conj(self.zeta_t) * m) / (1.0 - m)
+    # ----- strip coordinate and Poisson kernel -----------------------------
 
     def strip(self, one_minus) -> np.ndarray:
         """Strip coordinate w(zeta) from 1 - zeta, stable at every distance from the corners.
@@ -533,36 +385,6 @@ def strip_damping(theta: float, epsilon: float, w) -> complex:
     return out if out.shape else complex(out)
 
 
-def conformal_to_disk(domain: TriangleDomain, z: complex) -> complex:
-    """Riemann map of the triangle onto the unit disk with phi(t) = 0, phi'(t) > 0.
-
-    The disk coordinate crowds corners: points within ~1e-6 of a vertex
-    s+a+-ib map exponentially close to one circle point, beyond double
-    resolution.  Interior computations avoid the disk and work in half-plane
-    or strip coordinates, which have no such degeneracy.
-    """
-    if not domain.contains(z, tol=1e-9):
-        raise DomainError(f"{z} is not in the closed triangle")
-    z = complex(z)
-    if z.imag > 0:  # the map commutes with conjugation
-        return conformal_to_disk(domain, z.conjugate()).conjugate()
-    m = _triangle_map(domain)
-    return complex(m.mobius(m.invert(z)[0]))
-
-
-def conformal_from_disk(domain: TriangleDomain, omega: complex) -> complex:
-    """Inverse Riemann map, evaluated through the forward SC integral.
-
-    Subject to the same corner crowding as :func:`conformal_to_disk`: disk
-    points within ~1e-14 of the image of the vertex s+a+ib are rejected
-    because the preimage is no longer resolvable in double precision.
-    """
-    if abs(omega) > 1 + 1e-9:
-        raise DomainError(f"{omega} is outside the closed unit disk")
-    m = _triangle_map(domain)
-    return m.f(m.mobius_inverse(omega))
-
-
 def _gauss_vs_strip_density(theta: float, y_cut: float, n: int):
     """Gauss nodes and weights for the weight sin(pi theta)/(2(cosh(pi y)+cos(pi theta)))
     on [-y_cut, y_cut], by discretized Stieltjes recurrence and Golub-Welsch."""
@@ -614,8 +436,10 @@ def _grading(angle_frac: float) -> int:
 
 def harmonic_measure(domain: TriangleDomain, nodes_per_edge: int = 64) -> "HarmonicMeasure":
     """Harmonic measure of the triangle at t, as graded boundary quadrature."""
-    if nodes_per_edge < 4:
-        raise DomainError(f"need at least 4 nodes per edge, got {nodes_per_edge}")
+    if not isinstance(nodes_per_edge, numbers.Integral) or nodes_per_edge < 4:
+        raise DomainError(
+            f"need a whole number of nodes per edge, at least 4; got {nodes_per_edge!r}"
+        )
     return HarmonicMeasure(domain, nodes_per_edge)
 
 
@@ -627,14 +451,14 @@ class HarmonicMeasure:
     with a power substitution so that the pullback of analytic integrands keeps
     spectral accuracy despite the corner exponents of the conformal map.
     Read-only per-node arrays: ``z``, ``weights``, ``w_strip``, ``is_v1``,
-    ``edge`` (the edge index of :attr:`TriangleDomain.edges`) and ``tau`` (the
-    node's parameter in [0, 1] along that edge).
+    ``edge`` (the edge index of :attr:`TriangleDomain.edges`), ``tau`` (the
+    node's parameter in [0, 1] along that edge) and ``density`` (the measure's
+    density with respect to arclength at the node).
     """
 
     def __init__(self, domain: TriangleDomain, nodes_per_edge: int):
         self.domain = domain
         m = _triangle_map(domain)
-        self._map = m
         self.theta = m.theta
         # grading exponents per corner type
         g_apex = _grading(m.alpha)
@@ -761,7 +585,7 @@ class HarmonicMeasure:
         self.tau = tau[order]
         self.weights = weights[order]
         self._zeta = zeta_all[order]
-        self._density = density[order]
+        self.density = density[order]
         self.is_v1 = self.edge == 1
         w_strip = w_strip[order]
 
@@ -781,56 +605,13 @@ class HarmonicMeasure:
         if drift > 1e-7:
             raise ConvergenceError(f"strip coordinates drifted {drift} off the boundary lines")
         self.w_strip = np.where(self.is_v1, 1.0, 0.0) + 1j * w_strip.imag
-        for arr in (self.z, self.weights, self.w_strip, self.is_v1, self.edge, self.tau):
+        for arr in (self.z, self.weights, self.w_strip, self.is_v1, self.edge, self.tau,
+                    self.density):
             arr.flags.writeable = False
-
-    def density(self, z: complex) -> float:
-        """Density of the measure with respect to arclength at the boundary point z."""
-        z = complex(z)
-        at_node = np.flatnonzero(self.z == z)
-        if at_node.size:
-            return float(self._density[at_node[0]])
-        dist, _ = self.domain.edge_distance([z])
-        if dist[0] > 1e-9 * self.domain.scale:
-            raise DomainError(f"{z} is not a boundary point")
-        m = self._map
-        # the density is symmetric about the real axis, like the triangle
-        zeta, _ = m.invert(z.conjugate() if z.imag > 0 else z)
-        x = zeta.real
-        return float(m.poisson(x) / abs(m.fprime(complex(x, 0.0))))
 
     def integrate(self, values) -> complex:
         """Quadrature of per-node values against the measure."""
         return complex(np.sum(np.asarray(values) * self.weights))
-
-
-def strip_coordinate(hm: HarmonicMeasure, z: complex) -> StripCoordinate:
-    """Strip coordinate w(z) on ``hm.domain``: w(t) = theta, Re(w) = 0 on V0 and 1 on V1.
-
-    w commutes with conjugation, and Im w tends to -inf at s+a-ib and to +inf at s+a+ib.
-    """
-    domain = hm.domain
-    if not domain.contains(z, tol=1e-9):
-        raise DomainError(f"{z} is not in the closed triangle")
-    z = complex(z)
-    if z.imag > 0:
-        return StripCoordinate(strip_coordinate(hm, z.conjugate()).w.conjugate())
-    if abs(z - domain.t) < 1e-15 * domain.scale:
-        return StripCoordinate(complex(hm.theta))
-    _, one_minus = hm._map.invert(z)
-    if one_minus == 0:
-        raise DomainError("the corners s+a+-ib of V1 have no strip coordinate (Im w is infinite)")
-    w = complex(hm._map.strip(one_minus))
-    dist, edge = domain.edge_distance([z])
-    if dist[0] < 1e-9 * domain.scale:
-        w = complex(1.0 if edge[0] == 1 else 0.0, w.imag)
-    return StripCoordinate(w)
-
-
-def triangle_damping(hm: HarmonicMeasure, epsilon: float, z: complex) -> complex:
-    """The damping function on ``hm.domain``: 1 at t, modulus epsilon on V0."""
-    w = strip_coordinate(hm, z).w
-    return complex(strip_damping(hm.theta, epsilon, w))
 
 
 def brownian_exit_theta(

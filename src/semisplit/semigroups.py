@@ -17,6 +17,7 @@ them by the fast transform instead of the dense entries.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 import numpy as np
 from scipy.linalg import hadamard
@@ -74,8 +75,8 @@ class DiagonalMultiplierSemigroup:
             raise ShapeError("eigenbasis must be square")
         if lam.ndim != 1 or lam.size != basis.shape[0]:
             raise ShapeError("spectrum length must match the eigenbasis size")
-        if np.any(lam < 0):
-            raise DomainError("spectrum must be nonnegative")
+        if not np.all(np.isfinite(lam)) or np.any(lam < 0):
+            raise DomainError("spectrum must be finite and nonnegative")
         self.space = eigenbasis.domain
         self.spectrum = lam
         self._basis = basis
@@ -121,8 +122,8 @@ class CubeNoiseSemigroup(DiagonalMultiplierSemigroup):
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise DomainError("need at least one variable")
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError(f"need a whole number of variables, at least one; got {n!r}")
         if n > _MAX_CUBE_N:
             raise CostGuardError(f"cube size capped at n = {_MAX_CUBE_N} (matrix size 2^n)")
         # the basis and its inverse are known exactly, so the general

@@ -39,8 +39,8 @@ class FiniteProbabilitySpace:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size == 0:
             raise ShapeError("weights must be a nonempty 1-d array")
-        if np.any(w <= 0):
-            raise DomainError("every atom weight must be > 0")
+        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+            raise DomainError("every atom weight must be finite and > 0")
         if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise DomainError(
                 f"weights must sum to 1 within {_WEIGHT_SUM_TOL}; got {w.sum()!r}"

@@ -39,7 +39,7 @@ class Subspace:
         if not basis:
             raise ConditioningError("a subspace needs at least one basis function")
         space = basis[0].space
-        if any(f.space.size != space.size for f in basis):
+        if any(f.space != space for f in basis):
             raise ConditioningError("basis functions live on different spaces")
         object.__setattr__(self, "basis", basis)
         B = self.matrix

@@ -35,11 +35,11 @@ from semisplit import (
     split,
     strip_damping,
     strip_to_disk,
-    triangle_damping,
 )
 from semisplit.cli import GATES
 from semisplit.ideals import spectral_norm
 from semisplit.splitter import PADDING
+from triangle_reference import triangle_damping
 
 P = 1.5
 S_STAR = -0.5 * math.log(P - 1.0)

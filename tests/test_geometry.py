@@ -7,17 +7,22 @@ import pytest
 from semisplit import (
     TriangleDomain,
     brownian_exit_theta,
-    conformal_from_disk,
-    conformal_to_disk,
     disk_to_strip,
     harmonic_measure,
     node_table,
-    strip_coordinate,
     strip_damping,
     strip_to_disk,
-    triangle_damping,
 )
 from semisplit.errors import DomainError
+from semisplit.geometry import _triangle_map
+from triangle_reference import (
+    InverseTriangleMap,
+    boundary_density,
+    conformal_from_disk,
+    conformal_to_disk,
+    strip_coordinate,
+    triangle_damping,
+)
 
 S_STAR = -0.5 * math.log(0.5)
 
@@ -124,6 +129,11 @@ def test_measure_requires_enough_nodes(default_domain):
         harmonic_measure(default_domain, 3)
 
 
+def test_measure_needs_a_whole_number_of_nodes(default_domain):
+    with pytest.raises(DomainError):
+        harmonic_measure(default_domain, 10.5)
+
+
 def test_theta_against_brownian_oracle_default(default_domain, default_measure):
     est, se = brownian_exit_theta(default_domain, walkers=100_000, seed=0)
     assert abs(est - default_measure.theta) <= 3 * se
@@ -159,7 +169,7 @@ def test_pushforward_arc_positions(default_measure):
     # the disk images: compare the closed-form half-plane mass below each node
     # with the aligned disk angle
     hm = default_measure
-    m = hm._map
+    m = _triangle_map(hm.domain)
     order = np.argsort(hm._zeta)
     zeta_sorted = hm._zeta[order]
     # harmonic measure of (-inf, x] from zeta_t, in circle order starting at vp
@@ -256,16 +266,14 @@ def test_inverse_map_commutes_with_conjugation(default_domain, default_measure):
 def test_v1_points_near_s_plus_a_minus_ib_take_the_corner_chart(
     monkeypatch, default_domain, default_measure
 ):
-    from semisplit.geometry import _TriangleMap
-
     calls = []
-    vertical = _TriangleMap._invert_vertical
+    vertical = InverseTriangleMap._invert_vertical
 
     def spy(self, z):
         calls.append(z)
         return vertical(self, z)
 
-    monkeypatch.setattr(_TriangleMap, "_invert_vertical", spy)
+    monkeypatch.setattr(InverseTriangleMap, "_invert_vertical", spy)
     V, vm = default_domain, default_domain.vertices[2]
     for k in range(2, 9):
         strip_coordinate(default_measure, vm + 1j * 10.0**-k)
@@ -315,13 +323,15 @@ def test_density_matches_map_derivative(default_measure, default_domain):
     hm, V = default_measure, default_domain
     for i in [10, 60, 100, 150]:
         z = complex(hm.z[i])
-        assert hm.density(z) == pytest.approx(_disk_map_density(V, z, hm.edge[i]), rel=1e-4)
+        assert boundary_density(hm, z) == pytest.approx(
+            _disk_map_density(V, z, hm.edge[i]), rel=1e-4
+        )
 
 
 def test_density_at_a_node_is_the_stored_density(default_measure):
     hm = default_measure
     for i, z in enumerate(hm.z):
-        assert hm.density(z) == hm._density[i]
+        assert boundary_density(hm, z) == hm.density[i]
 
 
 def test_density_off_the_nodes_is_the_inverse_map_value(default_measure, default_domain):
@@ -330,28 +340,28 @@ def test_density_off_the_nodes_is_the_inverse_map_value(default_measure, default
     hm, V = default_measure, default_domain
     z = 0.9 * V.vertices[2]
     assert z not in hm.z
-    d = hm.density(z)
+    d = boundary_density(hm, z)
     assert d == pytest.approx(0.0048865, rel=1e-4)
     assert d == pytest.approx(_disk_map_density(V, z, 0), rel=1e-4)
-    assert not np.isclose(hm._density, d, rtol=1e-2, atol=0).any()
+    assert not np.isclose(hm.density, d, rtol=1e-2, atol=0).any()
 
 
 def test_density_rejects_points_off_the_boundary(default_measure, default_domain):
     for z in (default_domain.t, 1.0, -1.0):
         with pytest.raises(DomainError):
-            default_measure.density(z)
+            boundary_density(default_measure, z)
 
 
 def test_density_at_non_node_boundary_point(default_measure, default_domain):
     hm, V = default_measure, default_domain
     # a query point between stored nodes on the lower slant edge
-    d = hm.density(0.37 * V.vertices[2])
+    d = boundary_density(hm, 0.37 * V.vertices[2])
     assert d > 0
     # interpolate neighbors as a sanity envelope
     on_edge = np.flatnonzero(hm.edge == 0)
     below = on_edge[hm.tau[on_edge] < 0.37].max()
     above = on_edge[hm.tau[on_edge] > 0.37].min()
-    lo, hi = sorted(hm.density(hm.z[i]) for i in (below, above))
+    lo, hi = sorted(boundary_density(hm, hm.z[i]) for i in (below, above))
     assert 0.5 * lo <= d <= 2.0 * hi
 
 
@@ -359,11 +369,11 @@ def test_density_is_symmetric_about_the_real_axis(default_measure, default_domai
     hm = default_measure
     apex, vp, vm = default_domain.vertices
     for lower in (0.37 * vm, vm + 0.3 * (vp - vm)):
-        assert hm.density(lower.conjugate()) == hm.density(lower) > 0
+        assert boundary_density(hm, lower.conjugate()) == boundary_density(hm, lower) > 0
 
 
 def test_node_arrays_are_read_only(default_measure):
-    for name in ("z", "weights", "w_strip", "is_v1", "edge", "tau"):
+    for name in ("z", "weights", "w_strip", "is_v1", "edge", "tau", "density"):
         arr = getattr(default_measure, name)
         with pytest.raises(ValueError):
             arr[0] = arr[0]

@@ -23,6 +23,11 @@ def test_cube_size_above_cap_raises_cost_guard():
         CubeNoiseSemigroup(11)
 
 
+def test_cube_size_must_be_a_whole_number():
+    with pytest.raises(DomainError):
+        CubeNoiseSemigroup(2.5)
+
+
 def test_evaluate_at_zero_is_identity():
     for n in (1, 2, 3):
         S = CubeNoiseSemigroup(n)
@@ -113,6 +118,11 @@ def test_diagonal_semigroup_validation():
         DiagonalMultiplierSemigroup(OperatorMatrix.identity(sp), [-1.0, 0.0, 1.0])
     with pytest.raises(ShapeError):
         DiagonalMultiplierSemigroup(OperatorMatrix.identity(sp), [1.0, 2.0])
+    # an infinite eigenvalue would make T(0) all NaN (0 * inf)
+    sp2 = FiniteProbabilitySpace.uniform(2)
+    for bad in ([math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(DomainError):
+            DiagonalMultiplierSemigroup(OperatorMatrix.identity(sp2), bad)
     S = _random_diagonal_semigroup(3)
     assert S.condition_number >= 1.0
 

@@ -22,6 +22,9 @@ def test_space_validation():
         FiniteProbabilitySpace(np.array([0.5, 0.6]))
     with pytest.raises(DomainError):
         FiniteProbabilitySpace(np.array([1.0, 0.0]))
+    # NaN fails both the positivity and the sum comparison
+    with pytest.raises(DomainError):
+        FiniteProbabilitySpace(np.array([math.nan, 0.5]))
     sp = FiniteProbabilitySpace.uniform(4)
     assert sp.size == 4
     np.testing.assert_allclose(sp.weights.sum(), 1.0, rtol=0, atol=1e-15)

@@ -112,6 +112,15 @@ def test_degenerate_basis_raises():
         Subspace((FunctionVector(v, sp), FunctionVector(v, sp)))
 
 
+def test_basis_on_different_spaces_raises():
+    # same size, different weights: the Gram matrix has no single weighting
+    a = FiniteProbabilitySpace(np.array([0.5, 0.5]))
+    b = FiniteProbabilitySpace(np.array([0.25, 0.75]))
+    with pytest.raises(ConditioningError):
+        Subspace((FunctionVector(np.array([1.0, 0.0]), a),
+                  FunctionVector(np.array([0.0, 1.0]), b)))
+
+
 def test_singular_restriction_raises():
     n = 2
     S = CubeNoiseSemigroup(n)
