@@ -38,6 +38,14 @@ ORACLE_DIM_LIMIT = 6
 # relative slack of every inequality checked against lower-bound estimates
 PADDING = 1e-3
 _ORACLE_RANDOM_DIRECTIONS = 100_000
+# the oracle polishes its best _ORACLE_CANDIDATES directions, each for
+# _POLISH_REPEATS steps at every sigma, scoring _POLISH_TRIALS trials a step
+_ORACLE_CANDIDATES = 30
+_POLISH_SIGMAS = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6)
+_POLISH_REPEATS = 4
+_POLISH_TRIALS = 24
+# columns per pass of the oracle's scan, which bounds its transient memory
+_ORACLE_CHUNK = 4096
 _ASCENT_MAX_ITER = 500
 _ASCENT_TOL = 1e-12
 # weight of the extrapolation past each dual image in the ascent step
@@ -408,6 +416,45 @@ def _fibonacci_sphere(n_points: int) -> np.ndarray:
     )
 
 
+def _oracle_normals(d: int, seed: int):
+    """The oracle's normals as views of one ``default_rng(seed)`` draw.
+
+    Returns the (d, 5e4) real block, the (2d, 5e4) complex block in real form
+    (real parts over imaginary parts) and the polish noise: the slices of the
+    stream that consecutive draws of these shapes would take.
+    """
+    half = _ORACLE_RANDOM_DIRECTIONS // 2
+    shape = (_ORACLE_CANDIDATES, len(_POLISH_SIGMAS), _POLISH_REPEATS, 2, d, _POLISH_TRIALS)
+    z = np.random.default_rng(seed).standard_normal(3 * d * half + math.prod(shape))
+    return (
+        z[: d * half].reshape(d, half),
+        z[d * half : 3 * d * half].reshape(2 * d, half),
+        z[3 * d * half :].reshape(shape),
+    )
+
+
+def _power_sums(w: np.ndarray, Z2: np.ndarray, expo: float) -> np.ndarray:
+    """w @ |z|^expo over the columns z whose squared real form is Z2 (overwritten).
+
+    The real form of a column holds its real parts over its imaginary parts
+    (2 w.size rows), or its real parts alone (w.size rows) when it is real;
+    |z|^expo = (x^2 + y^2)^(expo/2) takes one power pass, and none at 2.
+    """
+    n = w.size
+    S = Z2[..., :n, :]
+    if Z2.shape[-2] > n:
+        S += Z2[..., n:, :]
+    if expo != 2.0:
+        np.power(S, expo / 2, out=S)
+    return w @ S
+
+
+def _top_positions(r: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the n largest r in descending order, ties to the smaller j."""
+    pos = np.flatnonzero(r >= np.partition(r, -n)[-n]) if r.size > n else np.arange(r.size)
+    return pos[np.lexsort((j[pos], -r[pos]))][:n]
+
+
 def opnorm_oracle(A: OperatorMatrix, p: float, q: float, seed: int = 0) -> float:
     """Dense search over the L_p unit sphere; a slow independent lower-bound oracle.
 
@@ -417,9 +464,17 @@ def opnorm_oracle(A: OperatorMatrix, p: float, q: float, seed: int = 0) -> float
     12 x 4 (sigma, repeat) steps one product scores 24 random perturbations of
     every candidate, and a candidate moves to its best trial when that beats
     its value.  The noise is drawn up front in the order a one-candidate-at-a-
-    time walk would draw it, so the search set is unchanged.  Guarded to input
-    dimension <= ORACLE_DIM_LIMIT; non-finite entries raise DomainError, a
-    non-finite value ConvergenceError.
+    time walk would draw it, so the search set is unchanged.
+
+    The random directions and the noise are views of one draw
+    (:func:`_oracle_normals`).  The scan scores the directions in chunks of
+    ``_ORACLE_CHUNK`` columns, in real arithmetic on their real and imaginary
+    parts, and keeps a running top 30 (ties to the earlier direction); the
+    polish runs in the same arithmetic, and the value is the complex ratio at
+    the best direction.  An operator whose largest entry part lies outside
+    [2^-8, 2^8] is searched scaled by a power of two 2^-e, and its value
+    scaled back exactly.  Guarded to input dimension <= ORACLE_DIM_LIMIT;
+    non-finite entries raise DomainError, a non-finite value ConvergenceError.
     """
     _check_exponent(p)
     _check_exponent(q)
@@ -432,13 +487,25 @@ def opnorm_oracle(A: OperatorMatrix, p: float, q: float, seed: int = 0) -> float
         return 0.0
     win = A.domain.weights
     wout = A.codomain.weights
-    rng = np.random.default_rng(seed)
+    # the scan squares moduli, which overflow or underflow far from 1
+    big = float(max(np.abs(M.real).max(), np.abs(M.imag).max()))
+    e = 0 if 2.0**-8 <= big <= 2.0**8 else math.frexp(big)[1]
+    if e:
+        M = np.ldexp(M.real, -e) + 1j * np.ldexp(M.imag, -e)
+    Mr, Mi = M.real, M.imag
+    real = not np.any(Mi)
+    # M acting on the real form of real columns and of complex columns
+    K_real = Mr if real else np.vstack([Mr, Mi])
+    K_complex = np.block([[Mr, -Mi], [Mi, Mr]])
 
-    def ratio(F):
-        return _colnorms(M @ F, q, wout) / _colnorms(F, p, win)
+    def ratios(K, Z):
+        G = K @ Z
+        num = _power_sums(wout, np.square(G, out=G), q)
+        del G
+        return num ** (1.0 / q) / _power_sums(win, np.square(Z), p) ** (1.0 / p)
 
     grid = np.empty((d, 0))
-    if np.isrealobj(M) or not np.any(M.imag):
+    if real:
         if d == 1:
             grid = np.ones((1, 1))
         elif d == 2:
@@ -446,43 +513,61 @@ def opnorm_oracle(A: OperatorMatrix, p: float, q: float, seed: int = 0) -> float
             grid = np.stack([np.cos(ang), np.sin(ang)])
         elif d == 3:
             grid = _fibonacci_sphere(40_000)
-    g = grid.shape[1]
-    half = _ORACLE_RANDOM_DIRECTIONS // 2
-    F = np.zeros((d, g + 2 * half), dtype=complex)
-    F.real[:, :g] = grid
-    F.real[:, g : g + half] = rng.standard_normal((d, half))
-    F.real[:, g + half :] = rng.standard_normal((d, half))
-    F.imag[:, g + half :] = rng.standard_normal((d, half))
+    R, XY, noise = _oracle_normals(d, seed)
+    blocks = ((grid, K_real), (R, K_real), (XY, K_complex))
 
     # the ratio is scale-invariant, so the raw directions are scored as drawn
-    r = ratio(F)
-    top = np.argsort(r)[::-1][:30]
-    best = float(r[top[0]])
-    best_f = F[:, top[0]].copy()
-    f = (F[:, top] / _colnorms(F[:, top], p, win)[None, :]).T  # one row per candidate
-    del F, r
+    top_r, top_j = np.empty(0), np.empty(0, dtype=np.intp)
+    start = 0
+    for Z, K in blocks:
+        n = Z.shape[1]
+        for c in range(0, n, _ORACLE_CHUNK):
+            r = np.concatenate([top_r, ratios(K, Z[:, c : c + _ORACLE_CHUNK])])
+            j = np.concatenate([top_j, np.arange(start + c, start + min(c + _ORACLE_CHUNK, n))])
+            keep = _top_positions(r, j, _ORACLE_CANDIDATES)
+            top_r, top_j = r[keep], j[keep]
+        start += n
+    # the winners in real form, one column each
+    f = np.zeros((2 * d, len(top_j)))
+    for i, j in enumerate(top_j):
+        for Z, _ in blocks:
+            if j < Z.shape[1]:
+                break
+            j -= Z.shape[1]
+        f[: len(Z), i] = Z[:, j]
+    best = float(top_r[0])
+    best_f = f[:, 0].copy()
+    f /= _power_sums(win, np.square(f), p) ** (1.0 / p)
 
-    # derivative-free polish: shrinking random perturbations around each candidate
-    sigmas = (0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6)
-    noise = rng.standard_normal((len(f), len(sigmas), 4, 2, d, 24))
-    val = ratio(f.T)
-    rows = np.arange(len(f))
-    for s, sigma in enumerate(sigmas):
-        for rep in range(4):
-            trials = f[:, :, None] + sigma * (noise[:, s, rep, 0] + 1j * noise[:, s, rep, 1])
-            rt = ratio(trials)
+    # derivative-free polish: shrinking random perturbations around each
+    # candidate; a step scores the trials of all candidates as one block
+    n_f = f.shape[1]
+    val = ratios(K_complex, f)
+    cols = np.arange(n_f)
+    trials = np.empty((2, d, n_f, _POLISH_TRIALS))
+    by_col = trials.reshape(2 * d, n_f, _POLISH_TRIALS)
+    for s, sigma in enumerate(_POLISH_SIGMAS):
+        for rep in range(_POLISH_REPEATS):
+            np.multiply(noise[:, s, rep].transpose(1, 2, 0, 3), sigma, out=trials)
+            trials += f.reshape(2, d, n_f, 1)
+            rt = ratios(K_complex, trials.reshape(2 * d, -1)).reshape(n_f, -1)
             k = np.argmax(rt, axis=1)
-            top_rt = rt[rows, k]
+            top_rt = rt[cols, k]
             up = top_rt > val
             if np.any(up):
                 val[up] = top_rt[up]
-                moved = trials[rows[up], :, k[up]]
-                f[up] = moved / _colnorms(moved.T, p, win)[:, None]
+                moved = by_col[:, cols[up], k[up]]
+                f[:, up] = moved / _power_sums(win, np.square(moved), p) ** (1.0 / p)
     j = int(np.argmax(val))
     if val[j] > best:
-        best_f = f[j]
+        best_f = f[:, j]
+    best_f = best_f[:d] + 1j * best_f[d:]
     fr = best_f / _colnorms(best_f[:, None], p, win)[0]
-    value = float(ratio(fr[:, None])[0])
+    value = float(_colnorms(M @ fr[:, None], q, wout)[0] / _colnorms(fr[:, None], p, win)[0])
+    try:
+        value = math.ldexp(value, e)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise ConvergenceError(f"the oracle's best direction gives a non-finite ratio {value}")
     return value

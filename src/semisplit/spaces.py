@@ -7,6 +7,7 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,8 +53,8 @@ class FiniteProbabilitySpace:
 
     @classmethod
     def uniform(cls, n_atoms: int) -> "FiniteProbabilitySpace":
-        if n_atoms < 1:
-            raise DomainError("need at least one atom")
+        if not isinstance(n_atoms, numbers.Integral) or n_atoms < 1:
+            raise DomainError(f"need a whole number of atoms, at least one; got {n_atoms!r}")
         return cls(np.full(n_atoms, 1.0 / n_atoms))
 
     def __hash__(self):

@@ -9,11 +9,12 @@ idempotence are the measurable content.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, ConvergenceError
+from .errors import ConditioningError, ConvergenceError, DomainError
 from .opnorm import DEFAULT_RESTARTS, opnorm_lower
 from .spaces import FiniteProbabilitySpace, FunctionVector, OperatorMatrix
 
@@ -183,6 +184,8 @@ def build_projection(
 
 def first_level_subspace(n: int) -> Subspace:
     """Span of the n degree-one sign characters on the cube of 2^n points."""
+    if not isinstance(n, numbers.Integral):
+        raise DomainError(f"need a whole number of variables; got {n!r}")
     space = FiniteProbabilitySpace.uniform(2**n)
     idx = np.arange(2**n)
     basis = []

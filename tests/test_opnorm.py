@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from semisplit.opnorm import (
     _WALSH_MIN_ATOMS,
     _colnorms,
     _fibonacci_sphere,
+    _oracle_normals,
     _phase,
     _walsh_product,
 )
@@ -213,6 +215,60 @@ def test_batched_oracle_polish_matches_one_candidate_walk(d):
             for seed, (p, q) in enumerate(((1.5, 1.5), (1.5, 2.0), (2.0, 2.0), (1.2, 3.0))):
                 ref = _oracle_one_candidate_at_a_time(A, p, q, seed=seed)
                 assert opnorm_oracle(A, p, q, seed=seed) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_oracle_normals_are_four_consecutive_draws(d):
+    # the random real block, the complex block's real and imaginary parts and
+    # the polish noise, each as its own draw from one generator
+    half = _ORACLE_RANDOM_DIRECTIONS // 2
+    for seed in (0, 1017):
+        rng = np.random.default_rng(seed)
+        real, re, im = (rng.standard_normal((d, half)) for _ in range(3))
+        noise = rng.standard_normal((30, 12, 4, 2, d, 24))
+        R, XY, polish = _oracle_normals(d, seed)
+        assert np.array_equal(R, real)
+        assert np.array_equal(XY[:d], re) and np.array_equal(XY[d:], im)
+        assert np.array_equal(polish, noise)
+
+
+@pytest.mark.parametrize("d", (2, 3, 6))
+def test_oracle_value_does_not_depend_on_the_chunk(d, monkeypatch):
+    rng = np.random.default_rng(60 + d)
+    A = OperatorMatrix.on(FiniteProbabilitySpace(rng.dirichlet(np.ones(d))),
+                          rng.standard_normal((d, d)))
+    default = opnorm_oracle(A, 1.5, 2.0, seed=d)
+    for chunk in (7, 10**6):
+        monkeypatch.setattr("semisplit.opnorm._ORACLE_CHUNK", chunk)
+        assert opnorm_oracle(A, 1.5, 2.0, seed=d) == pytest.approx(default, rel=1e-13)
+
+
+@pytest.mark.parametrize("k", (-600, 600))
+def test_oracle_scales_with_the_operator(k):
+    # squared moduli of entries near 2^600 overflow, near 2^-600 underflow
+    rng = np.random.default_rng(77)
+    sp = FiniteProbabilitySpace(rng.dirichlet(np.ones(3)))
+    for M in (rng.standard_normal((3, 3)), rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))):
+        for p, q in ((1.5, 1.5), (1.5, 2.0), (2.0, 2.0)):
+            base = opnorm_oracle(OperatorMatrix.on(sp, M), p, q)
+            scaled = opnorm_oracle(OperatorMatrix.on(sp, math.ldexp(1.0, k) * M), p, q)
+            assert scaled == pytest.approx(math.ldexp(base, k), rel=1e-13)
+
+
+def test_oracle_scan_memory():
+    # the scan keeps only one chunk of products and squares beside the draw
+    # of 1.3e6 normals (10.5 MB at d = 6)
+    rng = np.random.default_rng(6)
+    A = OperatorMatrix.on(FiniteProbabilitySpace.uniform(6),
+                          rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    opnorm_oracle(A, 1.5, 2.0)
+    tracemalloc.start()
+    try:
+        opnorm_oracle(A, 1.5, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def _ref_colnorms(F, p, w, absF=None):
@@ -432,8 +488,13 @@ def test_overflowing_norm_raises():
     A = OperatorMatrix.on(FiniteProbabilitySpace.uniform(4), M)
     with pytest.raises(ConvergenceError):
         opnorm_lower(A, 1.5, 1.5, restarts=2)
+    # the oracle searches a copy scaled by a power of two, so it measures this
+    # norm (1e300 up to the identity's share); only a norm beyond the largest
+    # double overflows it
+    assert opnorm_oracle(A, 1.5, 1.5) == pytest.approx(1e300, rel=1e-6)
+    huge = OperatorMatrix.on(FiniteProbabilitySpace.uniform(4), np.full((4, 4), 1e308))
     with pytest.raises(ConvergenceError):
-        opnorm_oracle(A, 1.5, 1.5)
+        opnorm_oracle(huge, 1.5, 1.5)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

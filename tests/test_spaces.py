@@ -30,6 +30,13 @@ def test_space_validation():
     np.testing.assert_allclose(sp.weights.sum(), 1.0, rtol=0, atol=1e-15)
 
 
+def test_uniform_space_needs_a_whole_number_of_atoms():
+    for n in (2.5, 4.0, 0, -1):
+        with pytest.raises(DomainError):
+            FiniteProbabilitySpace.uniform(n)
+    assert FiniteProbabilitySpace.uniform(np.int64(3)).size == 3
+
+
 def test_function_shape_checks():
     sp = FiniteProbabilitySpace.uniform(4)
     with pytest.raises(ShapeError):

@@ -13,7 +13,7 @@ from semisplit import (
     first_level_subspace,
     restricted_isomorphism_check,
 )
-from semisplit.errors import ConditioningError, ConvergenceError
+from semisplit.errors import ConditioningError, ConvergenceError, DomainError
 from semisplit.subspaces import Subspace
 
 P = 1.5
@@ -119,6 +119,12 @@ def test_basis_on_different_spaces_raises():
     with pytest.raises(ConditioningError):
         Subspace((FunctionVector(np.array([1.0, 0.0]), a),
                   FunctionVector(np.array([0.0, 1.0]), b)))
+
+
+def test_first_level_subspace_needs_a_whole_number_of_variables():
+    with pytest.raises(DomainError):
+        first_level_subspace(2.5)
+    assert first_level_subspace(np.int64(2)).dim == 2
 
 
 def test_singular_restriction_raises():
