@@ -40,7 +40,7 @@ from .semigroups import (
 )
 from .spaces import FiniteProbabilitySpace, FunctionVector, OperatorMatrix, compose, lp_norm
 from .splitter import certificate_text, dimension_sweep, split
-from .subspaces import Subspace, build_projection, first_level_subspace
+from .subspaces import build_projection, first_level_subspace
 
 __all__ = ["main", "ExperimentConfig", "GATES"]
 
@@ -80,8 +80,6 @@ class ExperimentConfig:
     restarts: int = DEFAULT_RESTARTS
     n_range: list[int] = field(default_factory=lambda: list(range(2, 9)))
     walkers: int = 20_000
-    subspace: str = "first-level"
-    subspace_dim: int = 2
 
     def resolved_geometry(self) -> TriangleDomain:
         s = self.s if self.s is not None else -0.5 * math.log(self.p - 1.0)
@@ -117,10 +115,6 @@ class ExperimentConfig:
             raise UsageError(f"invariant violated: restarts >= 0 (got {self.restarts})")
         if self.walkers < 1:
             raise UsageError(f"invariant violated: walkers >= 1 (got {self.walkers})")
-        if self.subspace not in ("first-level", "random", "degenerate"):
-            raise UsageError(f"invariant violated: unknown subspace kind {self.subspace!r}")
-        if self.subspace_dim < 1:
-            raise UsageError(f"invariant violated: subspace_dim >= 1 (got {self.subspace_dim})")
         self.resolved_geometry()
 
 
@@ -130,7 +124,7 @@ def _parse_scalar(key: str, raw: str):
         return None if raw == "auto" else float(raw)
     if key in ("p",):
         return float(raw)
-    if key in ("n", "nodes_per_edge", "seed", "restarts", "walkers", "subspace_dim"):
+    if key in ("n", "nodes_per_edge", "seed", "restarts", "walkers"):
         return int(raw)
     if key == "epsilons":
         return [float(x) for x in raw.split(",") if x.strip()]
@@ -139,7 +133,7 @@ def _parse_scalar(key: str, raw: str):
             lo, hi = raw.split("..")
             return list(range(int(lo), int(hi) + 1))
         return [int(x) for x in raw.split(",") if x.strip()]
-    if key in ("output_dir", "subspace"):
+    if key == "output_dir":
         return raw
     raise UsageError(f"unknown config key: {key}")
 
@@ -254,21 +248,6 @@ def run_dimsweep(cfg: ExperimentConfig) -> int:
     return 0 if all(value <= GATES[name] for name, value in stats.items()) else 1
 
 
-def _subspace_for(cfg: ExperimentConfig, n: int) -> Subspace:
-    if cfg.subspace == "first-level":
-        return first_level_subspace(n)
-    space = FiniteProbabilitySpace.uniform(2**n)
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.subspace == "random":
-        vecs = rng.standard_normal((2**n, cfg.subspace_dim)) + 1j * rng.standard_normal(
-            (2**n, cfg.subspace_dim)
-        )
-        return Subspace(tuple(FunctionVector(vecs[:, j], space) for j in range(cfg.subspace_dim)))
-    # degenerate: the same vector twice
-    v = rng.standard_normal(2**n) + 0j
-    return Subspace((FunctionVector(v, space), FunctionVector(v, space)))
-
-
 def run_corollary(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,7 +257,7 @@ def run_corollary(cfg: ExperimentConfig) -> int:
     for n in cfg.n_range:
         semigroup = CubeNoiseSemigroup(n)
         T = semigroup.evaluate(domain.t)
-        X = _subspace_for(cfg, n)
+        X = first_level_subspace(n)
         P, norm_pp = build_projection(T, X, cfg.p, restarts=cfg.restarts, seed=cfg.seed)
         E = P.entries
         idem = float(np.abs(E @ E - E).max())

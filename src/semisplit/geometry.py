@@ -466,13 +466,13 @@ class HarmonicMeasure:
         n_lo = nodes_per_edge // 2
         n_hi = nodes_per_edge - n_lo
 
-        rows = []  # (edge_id, z, tau, weight, zeta_for_records, w_strip, density)
+        rows = []  # (edge_id, z, tau, weight, w_strip, density)
 
         def gl01(n):
             x, w = leggauss(n)
             return (x + 1.0) / 2.0, w / 2.0
 
-        def finish(edge_id, z_vals, weights, zeta_store, one_minus, abs_zeta, pois_true):
+        def finish(edge_id, z_vals, weights, one_minus, abs_zeta, pois_true):
             """Assemble one graded half-edge.
 
             one_minus carries the exact value of 1 - zeta (the distance to the
@@ -500,14 +500,14 @@ class HarmonicMeasure:
                 + (m.beta - 1.0) * log_abs_om
             )
             density = np.exp(np.log(pois_true) - log_fp)
-            rows.append((edge_id, snapped, tau, weights, zeta_store, w_strip, density))
+            rows.append((edge_id, snapped, tau, weights, w_strip, density))
 
         # edge 0 toward the apex: zeta = u^g / 2
         u, glw = gl01(n_lo)
         zeta = 0.5 * u**g_apex
         dz = 0.5 * g_apex * u ** (g_apex - 1)
         finish(0, m.chart_apex(zeta), m.poisson(zeta) * dz * glw,
-               zeta, 1.0 - zeta, zeta, m.poisson(zeta))
+               1.0 - zeta, zeta, m.poisson(zeta))
 
         # edge 0 toward vm: zeta = 1 - sigma, sigma = u^g / 2
         u, glw = gl01(n_hi)
@@ -515,7 +515,7 @@ class HarmonicMeasure:
         zeta = 1.0 - sig
         dz = 0.5 * g_base * u ** (g_base - 1)
         finish(0, m.chart_vm(sig), m.poisson(zeta) * dz * glw,
-               zeta, sig, zeta, m.poisson(zeta))
+               sig, zeta, m.poisson(zeta))
 
         # Edge 1 carries the damping's oscillation e^(i y ln(eps)/theta) in the
         # strip ordinate y, at uniform frequency.  The pushforward density on
@@ -539,14 +539,14 @@ class HarmonicMeasure:
         zeta = 1.0 + sig
         dz = sig0 * g_tail * u ** (g_tail - 1)
         finish(1, m.chart_vm(-sig), m.poisson(zeta) * dz * glw,
-               zeta, -sig, zeta, m.poisson(zeta))
+               -sig, zeta, m.poisson(zeta))
 
         # central window: Gauss nodes with respect to the strip density itself
         y_mid, w_mid = _gauss_vs_strip_density(m.theta, y_cut, n_mid)
         zeta = 1.0 + q * np.exp(math.pi * y_mid)
         z_mid = np.array([m.f(complex(zz)) for zz in zeta])
         finish(1, z_mid, w_mid,
-               zeta, -q * np.exp(math.pi * y_mid), zeta, m.poisson(zeta))
+               -q * np.exp(math.pi * y_mid), zeta, m.poisson(zeta))
 
         # vp tail: rho = 1/zeta above the central window
         u, glw = gl01(n_tail)
@@ -554,14 +554,14 @@ class HarmonicMeasure:
         rho = rho0 * u**g_tail
         drho = rho0 * g_tail * u ** (g_tail - 1)
         finish(1, m.chart_vp(rho), m.poisson_far(rho, +1.0) * drho * glw,
-               1.0 / rho, 1.0 - 1.0 / rho, 1.0 / rho, m.poisson(1.0 / rho))
+               1.0 - 1.0 / rho, 1.0 / rho, m.poisson(1.0 / rho))
 
         # edge 2 toward vp: zeta = -1/rho, rho = u^g
         u, glw = gl01(n_lo)
         rho = u**g_base
         drho = g_base * u ** (g_base - 1)
         finish(2, m.chart_vp(-rho), m.poisson_far(rho, -1.0) * drho * glw,
-               -1.0 / rho, 1.0 + 1.0 / rho, 1.0 / rho, m.poisson(-1.0 / rho))
+               1.0 + 1.0 / rho, 1.0 / rho, m.poisson(-1.0 / rho))
 
         # edge 2 toward the apex: zeta = -u^g
         u, glw = gl01(n_hi)
@@ -569,22 +569,20 @@ class HarmonicMeasure:
         zeta = -xi
         dz = g_apex * u ** (g_apex - 1)
         finish(2, m.chart_apex(zeta.astype(complex)), m.poisson(zeta) * dz * glw,
-               zeta, 1.0 + xi, xi, m.poisson(zeta))
+               1.0 + xi, xi, m.poisson(zeta))
 
         edge = np.concatenate([np.full(r[1].size, r[0]) for r in rows])
         z = np.concatenate([r[1] for r in rows])
         tau = np.concatenate([r[2] for r in rows])
         weights = np.concatenate([r[3] for r in rows])
-        zeta_all = np.concatenate([np.asarray(r[4], dtype=float) for r in rows])
-        w_strip = np.concatenate([np.atleast_1d(r[5]) for r in rows])
-        density = np.concatenate([r[6] for r in rows])
+        w_strip = np.concatenate([np.atleast_1d(r[4]) for r in rows])
+        density = np.concatenate([r[5] for r in rows])
 
         order = np.lexsort((tau, edge))
         self.edge = edge[order].astype(int)
         self.z = z[order]
         self.tau = tau[order]
         self.weights = weights[order]
-        self._zeta = zeta_all[order]
         self.density = density[order]
         self.is_v1 = self.edge == 1
         w_strip = w_strip[order]

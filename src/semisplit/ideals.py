@@ -98,11 +98,8 @@ def generic_split(
         for z, on_v1 in zip(hm.z, hm.is_v1)
     ]
     certs = _split_engine(
-        semigroup, hm, epsilons,
-        (lambda ops: [op_norm(A) for A in ops], lambda ops: [gamma.gamma(A) for A in ops]),
-        op_norm,
-        node_values,
-    )
+        semigroup, hm, epsilons, node_values,
+        lambda ops, vertical: [(gamma.gamma if vertical else op_norm)(A) for A in ops])
     return certs[0] if np.ndim(epsilon) == 0 else certs
 
 

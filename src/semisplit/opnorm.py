@@ -8,6 +8,7 @@ the relative ``PADDING`` that downstream inequality checks allow.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,6 +128,11 @@ def _check_p(p: float) -> None:
         raise DomainError(f"need 1 < p < 2, got {p}")
 
 
+def _check_restarts(restarts: int) -> None:
+    if not isinstance(restarts, numbers.Integral) or restarts < 0:
+        raise DomainError(f"need a whole number of restarts, at least 0; got {restarts!r}")
+
+
 def opnorm_lower(
     A: OperatorMatrix,
     p: float,
@@ -176,6 +182,7 @@ def opnorm_lower_many(
     """
     _check_exponent(p)
     _check_exponent(q)
+    _check_restarts(restarts)
     ops = list(ops)
     if not ops:
         return []

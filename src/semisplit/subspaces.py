@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, ConvergenceError, DomainError
-from .opnorm import DEFAULT_RESTARTS, opnorm_lower
+from .opnorm import DEFAULT_RESTARTS, _check_restarts, opnorm_lower
 from .spaces import FiniteProbabilitySpace, FunctionVector, OperatorMatrix
 
 __all__ = [
@@ -70,6 +70,7 @@ def _ratio_extremum(T: OperatorMatrix, X: Subspace, p: float, maximize: bool,
     # which loads over 200 modules
     from scipy.optimize import minimize
 
+    _check_restarts(restarts)
     B = X.matrix
     TB = T.entries @ B
     w_in = X.space.weights
@@ -154,6 +155,7 @@ def build_projection(
     T(X).  Postconditions checked here: P^2 = P within 1e-9 and P fixes X.
     Returns (P, ||P||_{p->p}).
     """
+    _check_restarts(restarts)
     lower, _ = restricted_isomorphism_check(T, X, p, restarts=4, seed=seed)
     # every guard below is written so that a NaN fails it
     if not lower > 1e-8:

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import semisplit
-from semisplit.cli import GATES, RESULTS_HEADER, main
+from semisplit.cli import GATES, RESULTS_HEADER, ExperimentConfig, main
 
 
 def run_cli(args):
@@ -86,7 +88,18 @@ def test_config_file_and_overrides(tmp_path):
 
 
 def test_unknown_key_rejected(tmp_path):
-    assert run_cli(["split", "--set", "frobnicate=1", "--out", str(tmp_path)]) == 2
+    # the corollary projects onto the first-level subspace only, so it has
+    # no subspace keys
+    for command, overrides in (
+        ("split", ["frobnicate=1"]),
+        ("corollary", ["subspace=bogus"]),
+        ("corollary", ["subspace=random", "subspace_dim=0"]),
+        ("corollary", ["subspace=random", "subspace_dim=-1"]),
+    ):
+        out = tmp_path / command / "_".join(overrides)
+        args = [arg for o in overrides for arg in ("--set", o)]
+        assert run_cli([command, *args, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("override", ["n=abc", "epsilons=1e-2,x", "n_range=2..", "seed=1.5"])
@@ -105,11 +118,8 @@ def test_bad_sweep_config_exits_2_and_writes_nothing(tmp_path, override):
 
 @pytest.mark.parametrize(
     "command, overrides",
-    [("corollary", ["subspace=bogus"]),
-     ("checks", ["walkers=0"]),
-     ("corollary", ["subspace=random", "subspace_dim=0"]),
-     ("corollary", ["subspace=random", "subspace_dim=-1"])],
-    ids=["subspace=bogus", "walkers=0", "subspace_dim=0", "subspace_dim=-1"],
+    [("corollary", ["n_range=0..3"]), ("checks", ["walkers=0"])],
+    ids=["n_range=0..3", "walkers=0"],
 )
 def test_bad_corollary_or_checks_config_exits_2_and_writes_nothing(tmp_path, command, overrides):
     out = tmp_path / "x"
@@ -159,11 +169,21 @@ def test_corollary(tmp_path):
         assert float(line.split(",")[3]) <= 1e-9
 
 
-def test_corollary_degenerate_basis(tmp_path):
-    code = run_cli(["corollary", "--set", "n_range=2", "--set", "subspace=degenerate",
-                    "--out", str(tmp_path)])
+def test_corollary_cost_guard(tmp_path):
+    # the n = 2 row is built, then n = 12 exceeds the cube cap before any row is written
+    code = run_cli(["corollary", "--set", "n_range=2,12", "--out", str(tmp_path)])
     assert code == 3
     assert (tmp_path / "diagnostics.txt").exists()
+    assert not (tmp_path / "corollary.csv").exists()
+
+
+def test_readme_lists_every_config_key():
+    # a key added to or removed from the config must be added to or removed
+    # from the README's `Keys:` list too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [listed] = re.findall(r"Keys: `([^`]*)`", readme)
+    names = [name.strip() for name in listed.split(",")]
+    assert names == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 def test_entry_point_help():

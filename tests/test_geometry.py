@@ -14,9 +14,9 @@ from semisplit import (
     strip_to_disk,
 )
 from semisplit.errors import DomainError
-from semisplit.geometry import _triangle_map
 from triangle_reference import (
     InverseTriangleMap,
+    _triangle_map,
     boundary_density,
     conformal_from_disk,
     conformal_to_disk,
@@ -167,11 +167,13 @@ def test_theta_monotone_in_t():
 def test_pushforward_arc_positions(default_measure):
     # cumulative measure along the boundary equals the normalized arc length of
     # the disk images: compare the closed-form half-plane mass below each node
-    # with the aligned disk angle
+    # with the aligned disk angle; each node's half-plane preimage zeta lies
+    # on the real axis, so it is the real part of the inverse map at the node
     hm = default_measure
     m = _triangle_map(hm.domain)
-    order = np.argsort(hm._zeta)
-    zeta_sorted = hm._zeta[order]
+    zeta = np.array([m.invert(complex(z))[0].real for z in hm.z])
+    order = np.argsort(zeta)
+    zeta_sorted = zeta[order]
     # harmonic measure of (-inf, x] from zeta_t, in circle order starting at vp
     mass = 0.5 + np.arctan((zeta_sorted - m.xt) / m.yt) / math.pi
     w_sorted = np.asarray(hm.w_strip)[order]

@@ -598,6 +598,18 @@ def test_invalid_exponents():
         opnorm_lower(I, 1.5, math.inf)
 
 
+@pytest.mark.parametrize("restarts", [2.5, -3])
+def test_restarts_must_be_a_whole_number_at_least_zero(restarts):
+    A = OperatorMatrix.on(FiniteProbabilitySpace.uniform(2), np.array([[1.0, 0.5], [0.0, 2.0]]))
+    with pytest.raises(DomainError, match="whole number of restarts"):
+        opnorm_lower(A, 1.5, 2.0, restarts=restarts)
+    with pytest.raises(DomainError, match="whole number of restarts"):
+        opnorm_lower_many([A, A], 1.5, 1.5, restarts=restarts)
+    # any integral type passes, as for the cube's n and the measure's nodes
+    assert (opnorm_lower(A, 1.5, 2.0, restarts=np.int64(3)).value
+            == opnorm_lower(A, 1.5, 2.0, restarts=3).value)
+
+
 def test_hypercontractive_time_values():
     S = CubeNoiseSemigroup(3)
     assert hypercontractive_time(1.5, S) == pytest.approx(-0.5 * math.log(0.5), rel=1e-12)

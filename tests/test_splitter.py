@@ -117,18 +117,20 @@ def test_split_residual_ascent_takes_the_walsh_path(monkeypatch, default_domain,
         products.append(mult.shape)
         return walsh_product(mult, F)
 
-    residuals = []
+    lone = []
 
-    def residual_norm(A, *args, **kwargs):
+    def lone_norm(A, *args, **kwargs):
         before = len(products)
         est = opnorm_lower(A, *args, **kwargs)
-        residuals.append((A, len(products) - before))
+        lone.append((A, len(products) - before))
         return est
 
     monkeypatch.setattr(semisplit.opnorm, "_walsh_product", counting_product)
-    monkeypatch.setattr(semisplit.splitter, "opnorm_lower", residual_norm)
+    monkeypatch.setattr(semisplit.splitter, "opnorm_lower", lone_norm)
     split(CubeNoiseSemigroup(7), default_domain, default_measure, P, 1e-2, seed=0)
-    [(A, walsh_calls)] = residuals
+    # at one eps, T0 and T1 are lone operators too; the residual comes last
+    assert len(lone) == 3
+    A, walsh_calls = lone[-1]
     assert A.walsh is not None and A.walsh.shape == (2**7,)
     assert walsh_calls > 0
 
@@ -344,6 +346,23 @@ def test_split_sweep_runs_node_norms_once(monkeypatch, default_domain, cold_meas
     split(S, default_domain, cold_measure, P, eps_set, restarts=4, seed=0)
     # one ascent per node, then T0, T1 and the reconstruction residual per eps
     assert len(calls) == cold_measure.z.size + 3 * len(eps_set)
+
+
+@pytest.mark.parametrize("restarts", [2.5, -3])
+def test_bad_restarts_raise_before_any_ascent(monkeypatch, default_domain, default_measure,
+                                              restarts):
+    S = CubeNoiseSemigroup(1)
+    cert = split(S, default_domain, default_measure, P, 1e-2, restarts=4, seed=0)
+    with pytest.raises(DomainError, match="whole number of restarts"):
+        approximant(S, default_domain, cert, P, restarts=restarts)
+    # a rejected value leaves no node-constant cache entry behind
+    calls = _count_ascents(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="whole number of restarts"):
+            split(S, default_domain, default_measure, P, 1e-2, restarts=restarts)
+        with pytest.raises(DomainError, match="whole number of restarts"):
+            node_constants(S, default_measure, P, restarts=restarts)
+    assert calls == []
 
 
 def test_split_validates_every_eps_before_any_ascent(
@@ -684,16 +703,17 @@ import json, math
 import semisplit.splitter
 from semisplit import CubeNoiseSemigroup, TriangleDomain, dimension_sweep, harmonic_measure, split
 
-many = semisplit.splitter.opnorm_lower_many
+one, many = semisplit.splitter.opnorm_lower, semisplit.splitter.opnorm_lower_many
 t0_steps = {}
 
-def spy(ops, p, q, *args):
-    estimates = many(ops, p, q, *args)
+def spy(ops, p, q, estimates):
     if q == p and ops[0].domain.size > 2:
         t0_steps.setdefault(ops[0].domain.size.bit_length() - 1, estimates[0].steps)
     return estimates
 
-semisplit.splitter.opnorm_lower_many = spy
+# at one eps the split measures its lone T0 with opnorm_lower, else in a stack
+semisplit.splitter.opnorm_lower = lambda A, p, q, *args: spy([A], p, q, [one(A, p, q, *args)])[0]
+semisplit.splitter.opnorm_lower_many = lambda ops, p, q, *args: spy(ops, p, q, many(ops, p, q, *args))
 domain = TriangleDomain.with_defaults(-0.5 * math.log(0.5))
 hm = harmonic_measure(domain, 64)
 sweep = [list(row) for row in dimension_sweep(domain, hm, 1.5, 0.1, range(2, 9))]

@@ -257,3 +257,13 @@ def test_unconverged_search_raises(monkeypatch):
     _recording_minimize(monkeypatch, maxiter=2)
     with pytest.raises(ConvergenceError, match="restricted-isomorphism search"):
         restricted_isomorphism_check(T, X, P, restarts=1, seed=0)
+
+
+@pytest.mark.parametrize("restarts", [2.5, -3])
+def test_bad_restarts_raise_before_any_search(monkeypatch, restarts):
+    T, X = CubeNoiseSemigroup(2).evaluate(0.3), first_level_subspace(2)
+    statuses = _recording_minimize(monkeypatch)
+    for run in (restricted_isomorphism_check, build_projection):
+        with pytest.raises(DomainError, match="whole number of restarts"):
+            run(T, X, P, restarts=restarts)
+    assert statuses == []
