@@ -435,11 +435,22 @@ def _grading(angle_frac: float) -> int:
 
 
 def harmonic_measure(domain: TriangleDomain, nodes_per_edge: int = 64) -> "HarmonicMeasure":
-    """Harmonic measure of the triangle at t, as graded boundary quadrature."""
+    """Harmonic measure of the triangle at t, as graded boundary quadrature.
+
+    The measure is memoised on (domain, nodes_per_edge) and shared by every
+    caller; its arrays are read-only.  Memos matched by the measure's
+    identity, such as the node norms of :func:`semisplit.node_constants`,
+    therefore hit across calls.
+    """
     if not isinstance(nodes_per_edge, numbers.Integral) or nodes_per_edge < 4:
         raise DomainError(
             f"need a whole number of nodes per edge, at least 4; got {nodes_per_edge!r}"
         )
+    return _harmonic_measure(domain, int(nodes_per_edge))
+
+
+@lru_cache(maxsize=16)
+def _harmonic_measure(domain: TriangleDomain, nodes_per_edge: int) -> "HarmonicMeasure":
     return HarmonicMeasure(domain, nodes_per_edge)
 
 

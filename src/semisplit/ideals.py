@@ -8,6 +8,7 @@ with the ideal element applied last.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -90,17 +91,27 @@ def generic_split(
     the certificate fields norm_T1_p2 / C1_measured carry gamma values and
     norm_T0_pp / C0_measured / recon_error_pp carry op_norm values.  Ideal
     norms need not multiply over tensor factors, so each node norm is taken
-    on the full node operator T(z).
+    on the full node operator T(z).  ``gamma`` and ``op_norm`` are norms,
+    deterministic functions of the operator, so the eps-free node values are
+    memoised on (semigroup, hm, gamma, op_norm): calls that share them, one
+    per eps for instance, evaluate the nodes once.
     """
     epsilons = _validated_epsilons(domain, hm, epsilon)
-    node_values = [
-        (gamma.gamma if on_v1 else op_norm)(semigroup.evaluate(complex(z)))
-        for z, on_v1 in zip(hm.z, hm.is_v1)
-    ]
     certs = _split_engine(
-        semigroup, hm, epsilons, node_values,
+        semigroup, hm, epsilons, _node_values(semigroup, hm, gamma, op_norm),
         lambda ops, vertical: [(gamma.gamma if vertical else op_norm)(A) for A in ops])
     return certs[0] if np.ndim(epsilon) == 0 else certs
+
+
+# a sweep uses one key per ideal; a small cache bounds the semigroups and
+# measures it keeps alive
+@functools.lru_cache(maxsize=4)
+def _node_values(semigroup, hm: HarmonicMeasure, gamma: IdealNorm,
+                 op_norm: Callable[[OperatorMatrix], float]) -> tuple[float, ...]:
+    return tuple(
+        (gamma.gamma if on_v1 else op_norm)(semigroup.evaluate(complex(z)))
+        for z, on_v1 in zip(hm.z, hm.is_v1)
+    )
 
 
 def measure_compatibility(

@@ -84,7 +84,8 @@ def node_constants(
     Entry i is the lower bound, with its witness, on the norm of
     ``factor.evaluate(hm.z[i])``: p -> p on a slanted node, p -> 2 on a
     vertical one.  The estimates depend on (factor, hm, p, restarts, seed)
-    only, so they are memoised on that key, with ``hm`` matched by identity:
+    only, so they are memoised on that key, with ``hm`` matched by identity
+    (:func:`harmonic_measure` shares one measure per domain and node count):
     every cube shares the one-bit factor, whatever its power.  The estimates
     are shared between callers, so their witness arrays are read-only.
     """
@@ -93,8 +94,10 @@ def node_constants(
     return _node_estimates(semigroup.factor, hm, p, restarts, seed)
 
 
-# a run uses at most two keys at a time; a small cache bounds the harmonic
-# measures and factors it keeps alive
+# hm is matched by identity, and harmonic_measure hands every caller of one
+# (domain, nodes_per_edge) the same memoised measure, so splits in one process
+# share these estimates, CLI runs included.  A run uses at most two keys at a
+# time; a small cache bounds the factors and measures it keeps alive.
 @functools.lru_cache(maxsize=4)
 def _node_estimates(factor, hm: HarmonicMeasure, p: float, restarts: int,
                     seed: int) -> tuple[NormEstimate, ...]:

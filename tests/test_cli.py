@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import re
 import subprocess
@@ -52,6 +53,41 @@ def test_determinism_byte_identical(tmp_path):
         assert code == 0
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
     assert (a / "certificate_0.01.txt").read_bytes() == (b / "certificate_0.01.txt").read_bytes()
+
+
+def test_repeated_splits_share_the_measure_and_node_norms(tmp_path, monkeypatch):
+    import semisplit.geometry
+    import semisplit.splitter
+
+    shapes = []
+    many = semisplit.splitter.opnorm_lower_many
+
+    def counting(ops, *args, **kwargs):
+        ops = list(ops)
+        shapes.extend(A.entries.shape for A in ops)
+        return many(ops, *args, **kwargs)
+
+    monkeypatch.setattr(semisplit.splitter, "opnorm_lower_many", counting)
+    assert run_cli(["split", "--set", "n=3", "--out", str(tmp_path / "n3")]) == 0
+    # every cube shares the one-bit factor and the run shares the measure, so
+    # the second run measures only its own T0 and T1 stacks
+    shapes.clear()
+    warm = tmp_path / "warm"
+    assert run_cli(["split", "--set", "n=4", "--out", str(warm)]) == 0
+    assert shapes and (2, 2) not in shapes
+    # a run from empty caches measures every node and writes the same bytes
+    monkeypatch.setattr(semisplit.geometry, "_harmonic_measure",
+                        functools.lru_cache(semisplit.geometry.HarmonicMeasure))
+    monkeypatch.setattr(semisplit.splitter, "_node_estimates",
+                        functools.lru_cache(semisplit.splitter._node_estimates.__wrapped__))
+    shapes.clear()
+    cold = tmp_path / "cold"
+    assert run_cli(["split", "--set", "n=4", "--out", str(cold)]) == 0
+    assert shapes.count((2, 2)) == 3 * 64
+    names = sorted(path.name for path in warm.iterdir())
+    assert names == sorted(path.name for path in cold.iterdir())
+    for name in names:
+        assert (warm / name).read_bytes() == (cold / name).read_bytes(), name
 
 
 def test_split_reconstruction_above_gate_exits_1(tmp_path):

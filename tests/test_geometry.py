@@ -134,6 +134,26 @@ def test_measure_needs_a_whole_number_of_nodes(default_domain):
         harmonic_measure(default_domain, 10.5)
 
 
+def test_measure_is_memoised_per_domain_and_count(default_domain, default_measure):
+    # every caller of one (domain, count) shares one measure, a numpy count included
+    assert harmonic_measure(default_domain, 64) is default_measure
+    assert harmonic_measure(default_domain, np.int64(64)) is default_measure
+    equal = TriangleDomain(default_domain.s, default_domain.a, default_domain.b, default_domain.t)
+    assert harmonic_measure(equal, 64) is default_measure
+    assert harmonic_measure(default_domain) is default_measure
+    other_count = harmonic_measure(default_domain, 32)
+    assert other_count is not default_measure and other_count.z.size == 3 * 32
+    other_domain = harmonic_measure(TriangleDomain.with_defaults(1.0), 64)
+    assert other_domain is not default_measure and other_domain.domain != default_domain
+    # the shared arrays are read-only
+    with pytest.raises(ValueError):
+        default_measure.weights[0] = 0.0
+    # an invalid count of a numpy type is still rejected before the memo
+    for count in (np.int64(3), np.float64(64.0)):
+        with pytest.raises(DomainError):
+            harmonic_measure(default_domain, count)
+
+
 def test_theta_against_brownian_oracle_default(default_domain, default_measure):
     est, se = brownian_exit_theta(default_domain, walkers=100_000, seed=0)
     assert abs(est - default_measure.theta) <= 3 * se

@@ -4,6 +4,7 @@ import pytest
 from semisplit import (
     CubeNoiseSemigroup,
     FiniteProbabilitySpace,
+    IdealNorm,
     OperatorMatrix,
     compose,
     generic_split,
@@ -175,3 +176,35 @@ def test_generic_split_sequence_matches_per_eps(
         one = generic_split(cube3, default_domain, default_measure, hs, spectral_norm, eps)
         assert isinstance(one, SplitCertificate)
         assert_same_certificate(cert, one)
+
+
+def _counted(norm, calls):
+    def counted(A):
+        calls.append(A)
+        return norm(A)
+
+    return counted
+
+
+def test_generic_split_evaluates_its_nodes_once_per_ideal(
+    default_domain, default_measure, cube3, assert_same_certificate
+):
+    # gamma and op_norm are norms, so the node values are memoised on
+    # (semigroup, hm, gamma, op_norm): per-eps calls make one pass over the
+    # nodes, then measure T0, T1 and the residual of each eps
+    hs = make_schatten_like("hilbert-schmidt")
+    eps_set = (1e-1, 1e-2, 1e-3, 1e-4)
+    nodes, k = default_measure.z.size, len(eps_set)
+    per_eps, listed = [], []
+    ideal = IdealNorm("per-eps", _counted(hs.gamma, per_eps), 1.0)
+    op_norm = _counted(spectral_norm, per_eps)
+    certs = [generic_split(cube3, default_domain, default_measure, ideal, op_norm, eps)
+             for eps in eps_set]
+    assert len(per_eps) == nodes + 3 * k
+    # another pair of norms is another key, with a pass of its own
+    other = IdealNorm("listed", _counted(hs.gamma, listed), 1.0)
+    together = generic_split(cube3, default_domain, default_measure, other,
+                             _counted(spectral_norm, listed), eps_set)
+    assert len(listed) == nodes + 3 * k
+    for a, b in zip(certs, together):
+        assert_same_certificate(a, b)

@@ -480,21 +480,45 @@ def test_non_finite_operators_raise():
         opnorm_oracle(nan_op, 1.5, 1.5)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_norm_raises():
-    # finite entries whose ratio overflows to inf
+    # finite entries whose powers overflow: the ascent and the oracle both
+    # search a copy scaled by a power of two, so both measure this norm (1e300
+    # up to the identity's share), warning-free; only a norm beyond the
+    # largest double overflows them
     M = np.eye(4)
     M[0, 1] = 1e300
     A = OperatorMatrix.on(FiniteProbabilitySpace.uniform(4), M)
-    with pytest.raises(ConvergenceError):
-        opnorm_lower(A, 1.5, 1.5, restarts=2)
-    # the oracle searches a copy scaled by a power of two, so it measures this
-    # norm (1e300 up to the identity's share); only a norm beyond the largest
-    # double overflows it
+    assert opnorm_lower(A, 1.5, 1.5, restarts=2).value == pytest.approx(1e300, rel=1e-6)
     assert opnorm_oracle(A, 1.5, 1.5) == pytest.approx(1e300, rel=1e-6)
     huge = OperatorMatrix.on(FiniteProbabilitySpace.uniform(4), np.full((4, 4), 1e308))
     with pytest.raises(ConvergenceError):
+        opnorm_lower(huge, 1.5, 1.5, restarts=2)
+    with pytest.raises(ConvergenceError):
         opnorm_oracle(huge, 1.5, 1.5)
+
+
+@pytest.mark.parametrize("k", (-600, -300, 300, 600))
+def test_ascent_scales_with_the_operator(k):
+    # far from 1 the ascent's powers of the moduli overflow (RuntimeWarnings
+    # are errors here) or its stall rule's absolute floor stops it early; a
+    # copy scaled by a power of two measures 2^k times the unit-scale norm
+    A = np.random.default_rng(0).standard_normal((4, 4))
+    sp = FiniteProbabilitySpace.uniform(4)
+    for p, q in ((1.5, 1.5), (1.5, 2.0)):
+        base = opnorm_lower(OperatorMatrix.on(sp, A), p, q).value
+        scaled = opnorm_lower(OperatorMatrix.on(sp, math.ldexp(1.0, k) * A), p, q)
+        assert scaled.value == pytest.approx(math.ldexp(base, k), rel=1e-9)
+    # each operator of a stack gets its own power of two
+    stack = opnorm_lower_many([OperatorMatrix.on(sp, math.ldexp(1.0, j) * A) for j in (k, 0)],
+                              1.5, 1.5)
+    assert stack[0].value == pytest.approx(math.ldexp(stack[1].value, k), rel=1e-9)
+    assert stack[1].value == opnorm_lower(OperatorMatrix.on(sp, A), 1.5, 1.5).value
+    # the ascent steps of a Walsh multiplier scale with its entries
+    cube = CubeNoiseSemigroup(7)
+    mult = np.exp(-0.3 * cube.spectrum)
+    base = opnorm_lower(cube.operator(mult), 1.5, 2.0, restarts=4).value
+    scaled = opnorm_lower(cube.operator(math.ldexp(1.0, k) * mult), 1.5, 2.0, restarts=4)
+    assert scaled.value == pytest.approx(math.ldexp(base, k), rel=1e-9)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -68,3 +69,17 @@ def test_import_does_not_load_scipy_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_perfbench_traced_split_sweep_runs_clean():
+    # a traced run exits 1 when a refactor leaves a layer of the trace
+    # baseline (perfbench/reference/baseline_layers.json) without calls; one
+    # repetition of each mode takes a few seconds
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "split-sweep", "--seed", "0",
+         "--seconds", "0", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True, proc.stderr

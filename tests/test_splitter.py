@@ -14,6 +14,7 @@ from scipy.linalg import hadamard
 from semisplit import (
     CubeNoiseSemigroup,
     FiniteProbabilitySpace,
+    HarmonicMeasure,
     IdealNorm,
     OperatorMatrix,
     TriangleDomain,
@@ -316,8 +317,11 @@ def test_split_sequence_matches_per_eps_diagonal(
 
 @pytest.fixture
 def cold_measure(default_domain):
-    """A harmonic measure of its own, so no split has memoised its node norms yet."""
-    return harmonic_measure(default_domain, 64)
+    """A harmonic measure of its own, so no split has memoised its node norms yet.
+
+    Built directly: :func:`harmonic_measure` hands out the shared, memoised one.
+    """
+    return HarmonicMeasure(default_domain, 64)
 
 
 def _count_ascents(monkeypatch):
@@ -534,7 +538,8 @@ def test_node_constants_match_per_node_ascents(default_measure, make, seed):
 
 def test_split_rejects_mismatched_node_constants(monkeypatch, default_domain, cold_measure):
     # the memo is keyed on (factor, hm, p, restarts, seed), hm by identity:
-    # a split reuses node norms only when all five match
+    # a split reuses node norms only when all five match; harmonic_measure
+    # shares one measure per (domain, count), so its measures match each other
     hm = cold_measure
     diag = _diagonal_semigroup()
     base = dict(semigroup=CubeNoiseSemigroup(2), hm=hm, p=P, restarts=4, seed=0)
@@ -552,9 +557,11 @@ def test_split_rejects_mismatched_node_constants(monkeypatch, default_domain, co
     assert node_ascents() == 0
     # every cube shares the one-bit factor, whatever its power
     assert node_ascents(semigroup=CubeNoiseSemigroup(3)) == 0
-    for changed in (dict(hm=harmonic_measure(default_domain, 64)), dict(p=1.25),
+    for changed in (dict(hm=HarmonicMeasure(default_domain, 64)), dict(p=1.25),
                     dict(restarts=2), dict(seed=1), dict(semigroup=diag)):
         assert node_ascents(**changed) == nodes, changed
+    node_ascents(hm=harmonic_measure(default_domain, 64))
+    assert node_ascents(hm=harmonic_measure(default_domain, 64)) == 0
     # a diagonal semigroup is its own factor and matches only itself
     assert node_ascents(semigroup=diag) == 0
     assert node_ascents(semigroup=_diagonal_semigroup()) == nodes
