@@ -14,14 +14,17 @@ import argparse
 import math
 import sys
 import traceback
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_whole
 from .geometry import (
     TriangleDomain,
+    _check_epsilon,
+    _check_nodes_per_edge,
     brownian_exit_theta,
     disk_to_strip,
     harmonic_measure,
@@ -30,7 +33,14 @@ from .geometry import (
     strip_to_disk,
 )
 from .ideals import make_gamma2, make_schatten_like, measure_compatibility, spectral_norm
-from .opnorm import DEFAULT_RESTARTS, PADDING, hypercontractive_time, opnorm_lower
+from .opnorm import (
+    DEFAULT_RESTARTS,
+    PADDING,
+    _check_p,
+    _check_restarts,
+    hypercontractive_time,
+    opnorm_lower,
+)
 from .semigroups import (
     CubeNoiseSemigroup,
     DiagonalMultiplierSemigroup,
@@ -89,53 +99,47 @@ class ExperimentConfig:
             raise UsageError(f"invariant violated: {exc}") from exc
 
     def validate(self) -> None:
-        if not (1.0 < self.p < 2.0):
-            raise UsageError(f"invariant violated: 1 < p < 2 (got p = {self.p})")
-        if self.n < 1:
-            raise UsageError(f"invariant violated: n >= 1 (got n = {self.n})")
+        """Apply the library's own rules; the cube cap stays a cost guard (exit 3)."""
         if not self.epsilons:
             raise UsageError("invariant violated: at least one epsilon is required")
-        for e in self.epsilons:
-            if not (0.0 < e <= 1.0):
-                raise UsageError(
-                    f"invariant violated: every epsilon lies in (0, 1] (got {e})"
-                )
-        if self.nodes_per_edge < 4:
-            raise UsageError(
-                f"invariant violated: nodes_per_edge >= 4 (got {self.nodes_per_edge})"
-            )
-        if not self.n_range or min(self.n_range) < 1:
-            raise UsageError(
-                f"invariant violated: n_range is non-empty with every n >= 1 "
-                f"(got {self.n_range})"
-            )
-        if self.seed < 0:
-            raise UsageError(f"invariant violated: seed >= 0 (got {self.seed})")
-        if self.restarts < 0:
-            raise UsageError(f"invariant violated: restarts >= 0 (got {self.restarts})")
-        if self.walkers < 1:
-            raise UsageError(f"invariant violated: walkers >= 1 (got {self.walkers})")
+        if not self.n_range:
+            raise UsageError("invariant violated: n_range must not be empty")
+        try:
+            _check_p(self.p)
+            for e in self.epsilons:
+                _check_epsilon(e)
+            _check_restarts(self.restarts)
+            _check_nodes_per_edge(self.nodes_per_edge)
+            for n in (self.n, *self.n_range):
+                _check_whole(n, "variables", 1)
+            _check_whole(self.walkers, "walkers", 1)
+            _check_whole(self.seed, "seed", 0)
+        except DomainError as exc:
+            raise UsageError(f"invariant violated: {exc}") from exc
         self.resolved_geometry()
 
 
+def _parse_range(raw: str) -> list[int]:
+    if ".." in raw:
+        lo, hi = raw.split("..")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(x) for x in raw.split(",") if x.strip()]
+
+
+# one parser per field type of ExperimentConfig, so its fields are the one list of keys
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_PARSERS = {
+    float: float, int: int, str: str,
+    float | None: lambda raw: None if raw == "auto" else float(raw),
+    list[float]: lambda raw: [float(x) for x in raw.split(",") if x.strip()],
+    list[int]: _parse_range,
+}
+
+
 def _parse_scalar(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("s", "a", "b", "t"):
-        return None if raw == "auto" else float(raw)
-    if key in ("p",):
-        return float(raw)
-    if key in ("n", "nodes_per_edge", "seed", "restarts", "walkers"):
-        return int(raw)
-    if key == "epsilons":
-        return [float(x) for x in raw.split(",") if x.strip()]
-    if key == "n_range":
-        if ".." in raw:
-            lo, hi = raw.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(x) for x in raw.split(",") if x.strip()]
-    if key == "output_dir":
-        return raw
-    raise UsageError(f"unknown config key: {key}")
+    if key not in _FIELD_TYPES:
+        raise UsageError(f"unknown config key: {key}")
+    return _PARSERS[_FIELD_TYPES[key]](raw.strip())
 
 
 def load_config(path: str | None, overrides: list[str], out: str | None) -> ExperimentConfig:
@@ -157,8 +161,6 @@ def load_config(path: str | None, overrides: list[str], out: str | None) -> Expe
         k, v = item.split("=", 1)
         pairs.append((k.strip(), v))
     for k, v in pairs:
-        if not hasattr(cfg, k):
-            raise UsageError(f"unknown config key: {k}")
         try:
             value = _parse_scalar(k, v)
         except ValueError as exc:

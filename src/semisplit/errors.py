@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one whole-number rule."""
+
+import numbers
 
 
 class InvalidExponentError(ValueError):
@@ -27,3 +29,10 @@ class ConditioningError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iterative numerical routine failed to converge; message carries diagnostics."""
+
+
+def _check_whole(value, what: str, least: int) -> int:
+    """``value`` as an int; DomainError unless it is a whole number >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"need a whole number of {what}, at least {least}; got {value!r}")
+    return int(value)

@@ -18,7 +18,6 @@ of the integration variable u take the upper limit on the negative real axis
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import beta as euler_beta
 from scipy.special import roots_jacobi
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _check_whole
 
 __all__ = [
     "TriangleDomain",
@@ -375,11 +374,16 @@ def disk_to_strip(theta: float, omega) -> complex:
     return w if w.shape else complex(w)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Reject a damping level outside (0, 1]."""
+    if not (0.0 < epsilon <= 1.0):
+        raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
+
+
 def strip_damping(theta: float, epsilon: float, w) -> complex:
     """Geometric-mean damping on the strip: 1 at theta, modulus epsilon on Re = 0."""
     _check_theta(theta)
-    if not (0.0 < epsilon <= 1.0):
-        raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     warr = np.asarray(w, dtype=complex)
     out = np.exp((theta - warr) / theta * math.log(epsilon))
     return out if out.shape else complex(out)
@@ -434,6 +438,11 @@ def _grading(angle_frac: float) -> int:
     return max(2, math.ceil(2.5 / angle_frac))
 
 
+def _check_nodes_per_edge(nodes_per_edge: int) -> int:
+    """The node count as an int; DomainError unless it is a whole number >= 4."""
+    return _check_whole(nodes_per_edge, "nodes per edge", 4)
+
+
 def harmonic_measure(domain: TriangleDomain, nodes_per_edge: int = 64) -> "HarmonicMeasure":
     """Harmonic measure of the triangle at t, as graded boundary quadrature.
 
@@ -442,11 +451,7 @@ def harmonic_measure(domain: TriangleDomain, nodes_per_edge: int = 64) -> "Harmo
     identity, such as the node norms of :func:`semisplit.node_constants`,
     therefore hit across calls.
     """
-    if not isinstance(nodes_per_edge, numbers.Integral) or nodes_per_edge < 4:
-        raise DomainError(
-            f"need a whole number of nodes per edge, at least 4; got {nodes_per_edge!r}"
-        )
-    return _harmonic_measure(domain, int(nodes_per_edge))
+    return _harmonic_measure(domain, _check_nodes_per_edge(nodes_per_edge))
 
 
 @lru_cache(maxsize=16)
@@ -636,8 +641,7 @@ def brownian_exit_theta(
     until it reaches a thin boundary shell; the nearest edge then decides the
     exit side.  Returns (estimate, standard error).
     """
-    if not isinstance(walkers, numbers.Integral) or walkers < 1:
-        raise DomainError(f"need a whole number of walkers, at least one; got {walkers!r}")
+    walkers = _check_whole(walkers, "walkers", 1)
     rng = np.random.default_rng(seed)
     z0 = complex(domain.t if start is None else start)
     if not domain.contains(z0, tol=-1e-12):

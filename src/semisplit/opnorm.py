@@ -8,7 +8,6 @@ the relative ``PADDING`` that downstream inequality checks allow.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +19,7 @@ from .errors import (
     DomainError,
     InvalidExponentError,
     ShapeError,
+    _check_whole,
 )
 from .spaces import FunctionVector, OperatorMatrix, apply, hadamard_transform, lp_norm
 
@@ -71,8 +71,8 @@ class NormEstimate:
     """A certified lower bound on an operator norm.
 
     ``steps`` counts the ascent steps run for the operator (0 for the zero
-    operator), each one product with the operator and one with its adjoint,
-    steps whose extrapolated point was rejected included; below
+    operator and at p = 1), each one product with the operator and one with
+    its adjoint, steps whose extrapolated point was rejected included; below
     ``_ASCENT_MAX_ITER`` the ascent stopped on its stall rule.
     ``start`` names the kind of start the witness ascended from: "atom",
     "constant", "svd", "bifurcation" or "random" (the zero operator's witness
@@ -139,8 +139,7 @@ def _check_p(p: float) -> None:
 
 
 def _check_restarts(restarts: int) -> None:
-    if not isinstance(restarts, numbers.Integral) or restarts < 0:
-        raise DomainError(f"need a whole number of restarts, at least 0; got {restarts!r}")
+    _check_whole(restarts, "restarts", 0)
 
 
 def opnorm_lower(
@@ -162,7 +161,8 @@ def opnorm_lower(
     ratio never falls (see :func:`_ascent`).  The ascent stops after three
     steps that raise the best ratio by at most ``_ASCENT_TOL * max(1, best)``,
     or at ``_ASCENT_MAX_ITER`` steps.  The returned value is always a
-    certified lower bound, re-evaluated from the witness.  This is
+    certified lower bound, re-evaluated from the witness; at p = 1 it is the
+    exact norm, the best atom's ratio, and no ascent runs.  This is
     :func:`opnorm_lower_many` on a stack of one.
     """
     return opnorm_lower_many([A], p, q, restarts, seed)[0]
@@ -222,22 +222,30 @@ def opnorm_lower_many(
     exps = _binary_scale(M, _ASCENT_SCALE_WINDOW)
     if exps.any():
         M = _ldexp(M, -exps[:, None, None])
-    try:
-        # only the two leading right singular vectors outlive the SVD
-        lead = np.linalg.svd((np.sqrt(wout)[:, None] * M) / np.sqrt(win)[None, :])[2][:, :2].copy()
-    except np.linalg.LinAlgError:
-        if len(nonzero) > 1:
-            # one operator at a time, so only the failing one loses its SVD starts
-            for i in nonzero:
-                estimates[i] = opnorm_lower_many([ops[i]], p, q, restarts, seed)[0]
-            return estimates
-        lead = None
-    mult = None
-    if domain.size >= _WALSH_MIN_ATOMS and all(ops[i].walsh is not None for i in nonzero):
-        mult = np.stack([ops[i].walsh for i in nonzero]) / domain.size
-        if exps.any():
-            mult = _ldexp(mult, -exps[:, None])
-    witnesses, steps, starts = _ascent(M, mult, win, wout, p, q, restarts, seed, lead)
+    if p == 1.0:
+        # ||A||_(1->q) = max_j ||A e_j||_q / w_j exactly: the L_1 unit ball is
+        # the convex hull of the phased atoms e_j / w_j, and f -> ||Af||_q is convex
+        witnesses = np.zeros((len(nonzero), domain.size), dtype=complex)
+        witnesses[np.arange(len(nonzero)), np.argmax(_colnorms(M, q, wout) / win, axis=1)] = 1.0
+        steps, starts = [0] * len(nonzero), ["atom"] * len(nonzero)
+    else:
+        try:
+            # only the two leading right singular vectors outlive the SVD
+            lead = np.linalg.svd(
+                (np.sqrt(wout)[:, None] * M) / np.sqrt(win)[None, :])[2][:, :2].copy()
+        except np.linalg.LinAlgError:
+            if len(nonzero) > 1:
+                # one operator at a time, so only the failing one loses its SVD starts
+                for i in nonzero:
+                    estimates[i] = opnorm_lower_many([ops[i]], p, q, restarts, seed)[0]
+                return estimates
+            lead = None
+        mult = None
+        if domain.size >= _WALSH_MIN_ATOMS and all(ops[i].walsh is not None for i in nonzero):
+            mult = np.stack([ops[i].walsh for i in nonzero]) / domain.size
+            if exps.any():
+                mult = _ldexp(mult, -exps[:, None])
+        witnesses, steps, starts = _ascent(M, mult, win, wout, p, q, restarts, seed, lead)
     for k, (i, f, n, start) in enumerate(zip(nonzero, witnesses, steps, starts)):
         witness = FunctionVector(f, domain)
         A = OperatorMatrix(M[k], domain, codomain) if exps[k] else ops[i]
@@ -283,7 +291,7 @@ def _walsh_product(mult: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _ascent(M, mult, win, wout, p, q, restarts, seed, lead):
-    """Multistart dual ascent on a stack M of nonzero operators (L, d_out, d).
+    """Multistart dual ascent on a stack M of nonzero operators (L, d_out, d), p > 1.
 
     ``mult`` is None, or the (L, d) stack of Walsh multipliers divided by d
     whose operators M holds: the steps then apply each operator as
@@ -298,12 +306,11 @@ def _ascent(M, mult, win, wout, p, q, restarts, seed, lead):
     accepted iterate (one product with the adjoint) and scores only
     y = x^_k + _ASCENT_BETA (x^_k - x^_(k-1)) (one product with the
     operator), an extrapolation with adaptive restart (O'Donoghue and
-    Candes, Found. Comput. Math. 15, 2015).  The first step is plain, and so
-    is every step at p = 1, whose dual step is an atom.  When y scores below
-    the column's accepted ratio, the column keeps its iterate, image and
-    ratio; its next dual image then repeats x^_k, so its next step is plain.
-    Accepted ratios never fall, and the stall rule counts steps, rejected
-    ones included.
+    Candes, Found. Comput. Math. 15, 2015).  The first step is plain.  When
+    y scores below the column's accepted ratio, the column keeps its iterate,
+    image and ratio; its next dual image then repeats x^_k, so its next step
+    is plain.  Accepted ratios never fall, and the stall rule counts steps,
+    rejected ones included.
     """
     L, _, d = M.shape
     rows = np.arange(L)
@@ -343,7 +350,7 @@ def _ascent(M, mult, win, wout, p, q, restarts, seed, lead):
         kinds += ["random"] * restarts
     F = np.concatenate(cols, axis=2)
 
-    pconj = math.inf if p == 1.0 else p / (p - 1.0)
+    pconj = p / (p - 1.0)
 
     def ratios_of(F, absF=None):
         fp = _colnorms(F, p, win, absF)
@@ -386,24 +393,15 @@ def _ascent(M, mult, win, wout, p, q, restarts, seed, lead):
             H = _walsh_product(mult.conj(), U)
             del U
         H /= win[:, None]
-        if pconj == math.inf:
-            # dual of L_1: concentrate on the largest coordinate
-            F = np.zeros_like(H)
-            at, col = np.arange(H.shape[0])[:, None], np.arange(H.shape[2])
-            idx = np.argmax(np.abs(H), axis=1)
-            peak = _phase(H[at, idx, col])
-            F[at, idx, col] = peak
-            norms = win[idx] * np.abs(peak)
-        else:
-            F, norms = _dual_step(H, pconj, p, win)
+        F, norms = _dual_step(H, pconj, p, win)
         del H
         dead = norms == 0
         if np.any(dead):
             F.transpose(0, 2, 1)[dead] = 1.0
             norms = _colnorms(F, p, win)
         F /= norms[:, None, :]
-        if prev is None or pconj == math.inf:
-            # the first step is plain, and so is every step onto atoms
+        if prev is None:
+            # the first step is plain
             Y = F
         else:
             # extrapolate past the new dual image, away from the last one.  A

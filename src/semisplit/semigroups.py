@@ -16,13 +16,10 @@ them by the fast transform instead of the dense entries.
 
 from __future__ import annotations
 
-import dataclasses
-import numbers
-
 import numpy as np
 from scipy.linalg import hadamard
 
-from .errors import CostGuardError, DomainError, ShapeError
+from .errors import CostGuardError, DomainError, ShapeError, _check_whole
 from .spaces import FiniteProbabilitySpace, FunctionVector, OperatorMatrix, hadamard_transform
 
 __all__ = [
@@ -36,6 +33,14 @@ __all__ = [
 _RE_TOL = 1e-12
 # largest cube size n: a dense 2^n x 2^n matrix per operator
 _MAX_CUBE_N = 10
+
+
+def _check_cube_size(n) -> int:
+    """``n`` as an int: a whole number of variables, at least 1, up to ``_MAX_CUBE_N``."""
+    n = _check_whole(n, "variables", 1)
+    if n > _MAX_CUBE_N:
+        raise CostGuardError(f"cube size capped at n = {_MAX_CUBE_N} (matrix size 2^n)")
+    return n
 
 
 def _as_time(z) -> complex:
@@ -95,10 +100,7 @@ class DiagonalMultiplierSemigroup:
         On the cube's Walsh basis the operator also carries the multiplier.
         """
         entries = (self._basis * multiplier) @ self._basis_inv
-        op = OperatorMatrix.on(self.space, entries)
-        if self._walsh_basis:
-            op = dataclasses.replace(op, walsh=multiplier)
-        return op
+        return OperatorMatrix.on(self.space, entries, multiplier if self._walsh_basis else None)
 
     def evaluate(self, z) -> OperatorMatrix:
         """Matrix of T(z); requires Re(z) >= 0."""
@@ -122,13 +124,9 @@ class CubeNoiseSemigroup(DiagonalMultiplierSemigroup):
     """
 
     def __init__(self, n: int):
-        if not isinstance(n, numbers.Integral) or n < 1:
-            raise DomainError(f"need a whole number of variables, at least one; got {n!r}")
-        if n > _MAX_CUBE_N:
-            raise CostGuardError(f"cube size capped at n = {_MAX_CUBE_N} (matrix size 2^n)")
         # the basis and its inverse are known exactly, so the general
         # constructor's cond and inv (over a second at n = 10) are skipped
-        self.n = int(n)
+        self.n = _check_cube_size(n)
         self.space = FiniteProbabilitySpace.uniform(2**self.n)
         self.spectrum = subset_sizes(self.n)
         self._basis = hadamard(2**self.n, dtype=float)

@@ -7,14 +7,13 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import hadamard
 
-from .errors import DomainError, InvalidExponentError, ShapeError
+from .errors import DomainError, InvalidExponentError, ShapeError, _check_whole
 
 __all__ = [
     "FiniteProbabilitySpace",
@@ -53,8 +52,7 @@ class FiniteProbabilitySpace:
 
     @classmethod
     def uniform(cls, n_atoms: int) -> "FiniteProbabilitySpace":
-        if not isinstance(n_atoms, numbers.Integral) or n_atoms < 1:
-            raise DomainError(f"need a whole number of atoms, at least one; got {n_atoms!r}")
+        n_atoms = _check_whole(n_atoms, "atoms", 1)
         return cls(np.full(n_atoms, 1.0 / n_atoms))
 
     def __hash__(self):
@@ -120,9 +118,9 @@ class OperatorMatrix:
                 raise ShapeError("a Walsh multiplier needs one value per atom of one space")
 
     @classmethod
-    def on(cls, space: FiniteProbabilitySpace, entries) -> "OperatorMatrix":
-        """Operator from a space to itself."""
-        return cls(np.asarray(entries, dtype=complex), space, space)
+    def on(cls, space: FiniteProbabilitySpace, entries, walsh=None) -> "OperatorMatrix":
+        """Operator from a space to itself, carrying the Walsh multiplier ``walsh`` if given."""
+        return cls(np.asarray(entries, dtype=complex), space, space, walsh)
 
     @classmethod
     def identity(cls, space: FiniteProbabilitySpace) -> "OperatorMatrix":

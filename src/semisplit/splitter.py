@@ -15,13 +15,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    CostGuardError,
-    DomainError,
-    IllConditionedSplitError,
-)
-from .geometry import HarmonicMeasure, TriangleDomain, strip_damping
+from .errors import ConvergenceError, DomainError, IllConditionedSplitError
+from .geometry import HarmonicMeasure, TriangleDomain, _check_epsilon, strip_damping
 from .opnorm import (
     DEFAULT_RESTARTS,
     ORACLE_DIM_LIMIT,
@@ -33,7 +28,7 @@ from .opnorm import (
     opnorm_lower_many,
     opnorm_oracle,
 )
-from .semigroups import _MAX_CUBE_N, CubeNoiseSemigroup
+from .semigroups import CubeNoiseSemigroup, _check_cube_size
 from .spaces import OperatorMatrix
 
 __all__ = [
@@ -130,8 +125,7 @@ def _validated_epsilons(domain: TriangleDomain, hm: HarmonicMeasure,
             f"theta = {theta} makes one side of the split carry a 1/theta-scale factor"
         )
     for epsilon in epsilons:
-        if not (0.0 < epsilon <= 1.0):
-            raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
+        _check_epsilon(epsilon)
         if (1.0 - theta) / theta * math.log(1.0 / epsilon) > 600.0:
             raise IllConditionedSplitError(
                 f"damping magnitude epsilon^((theta-1)/theta) with theta = {theta} and "
@@ -325,13 +319,9 @@ def dimension_sweep(
     """
     if np.ndim(epsilon) != 0:
         raise DomainError(f"a sweep runs at one damping level, got {epsilon!r}")
-    n_range = list(n_range)
+    n_range = [_check_cube_size(n) for n in n_range]
     if not n_range:
         raise DomainError("need at least one cube size")
-    if any(n > _MAX_CUBE_N for n in n_range):
-        raise CostGuardError(f"cube size capped at n = {_MAX_CUBE_N} (matrix size 2^n)")
-    if any(n < 1 for n in n_range):
-        raise DomainError("cube size must be at least 1")
     rows = []
     for n in n_range:
         cert = split(

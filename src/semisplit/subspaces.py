@@ -9,13 +9,12 @@ idempotence are the measurable content.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, ConvergenceError, DomainError
-from .opnorm import DEFAULT_RESTARTS, _check_restarts, opnorm_lower
+from .errors import ConditioningError, ConvergenceError, _check_whole
+from .opnorm import DEFAULT_RESTARTS, _check_exponent, _check_restarts, opnorm_lower
 from .spaces import FiniteProbabilitySpace, FunctionVector, OperatorMatrix
 
 __all__ = [
@@ -66,11 +65,12 @@ class Subspace:
 
 def _ratio_extremum(T: OperatorMatrix, X: Subspace, p: float, maximize: bool,
                     restarts: int, seed: int) -> float:
+    _check_exponent(p)
+    _check_restarts(restarts)
     # imported here, not with the package: no other code needs scipy.optimize,
     # which loads over 200 modules
     from scipy.optimize import minimize
 
-    _check_restarts(restarts)
     B = X.matrix
     TB = T.entries @ B
     w_in = X.space.weights
@@ -186,8 +186,7 @@ def build_projection(
 
 def first_level_subspace(n: int) -> Subspace:
     """Span of the n degree-one sign characters on the cube of 2^n points."""
-    if not isinstance(n, numbers.Integral):
-        raise DomainError(f"need a whole number of variables; got {n!r}")
+    n = _check_whole(n, "variables", 1)
     space = FiniteProbabilitySpace.uniform(2**n)
     idx = np.arange(2**n)
     basis = []

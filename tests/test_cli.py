@@ -9,7 +9,25 @@ from pathlib import Path
 import pytest
 
 import semisplit
-from semisplit.cli import GATES, RESULTS_HEADER, ExperimentConfig, main
+from semisplit import (
+    CubeNoiseSemigroup,
+    FiniteProbabilitySpace,
+    OperatorMatrix,
+    brownian_exit_theta,
+    make_gamma2,
+    opnorm_lower,
+    strip_damping,
+)
+from semisplit.cli import (
+    GATES,
+    RESULTS_HEADER,
+    ExperimentConfig,
+    UsageError,
+    _parse_scalar,
+    load_config,
+    main,
+)
+from semisplit.geometry import _check_nodes_per_edge
 
 
 def run_cli(args):
@@ -159,6 +177,49 @@ def test_bad_corollary_or_checks_config_exits_2_and_writes_nothing(tmp_path, com
         args += ["--set", override]
     assert run_cli(args + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+_DOMAIN = ExperimentConfig().resolved_geometry()
+
+# one library call per config key, run on the parsed value; each is cheap
+# and raises its rule's error on a bad value
+_LIBRARY_USE = {
+    "p": make_gamma2,
+    "epsilons": lambda eps: [strip_damping(0.5, e, 0.5) for e in eps],
+    "nodes_per_edge": _check_nodes_per_edge,
+    "restarts": lambda r: opnorm_lower(
+        OperatorMatrix.identity(FiniteProbabilitySpace.uniform(1)), 1.5, 1.5, restarts=r),
+    "seed": lambda seed: brownian_exit_theta(_DOMAIN, walkers=1, seed=seed),
+    "walkers": lambda walkers: brownian_exit_theta(_DOMAIN, walkers=walkers),
+    "n": CubeNoiseSemigroup,
+    "n_range": lambda n_range: [CubeNoiseSemigroup(n) for n in n_range],
+}
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("p", "1"), ("p", "1.5"), ("p", "2"), ("p", "nan"),
+    ("epsilons", "0"), ("epsilons", "1e-3"), ("epsilons", "1"), ("epsilons", "1.5"),
+    ("nodes_per_edge", "3"), ("nodes_per_edge", "4"),
+    ("restarts", "-1"), ("restarts", "0"),
+    ("seed", "-1"), ("seed", "0"),
+    ("walkers", "0"), ("walkers", "1"),
+    ("n", "0"), ("n", "1"),
+    ("n_range", "0..2"), ("n_range", "1..2"),
+])
+def test_config_rejects_exactly_what_the_library_rejects(tmp_path, key, raw):
+    # the config applies the library's own rules, so a value fails at load
+    # time (exit 2) exactly when the library would refuse it
+    try:
+        load_config(None, [f"{key}={raw}"], str(tmp_path))
+        cli_rejects = False
+    except UsageError:
+        cli_rejects = True
+    try:
+        _LIBRARY_USE[key](_parse_scalar(key, raw))
+        library_rejects = False
+    except ValueError:
+        library_rejects = True
+    assert cli_rejects == library_rejects
 
 
 def test_split_beyond_cube_cap_exits_3_before_any_output(tmp_path):

@@ -300,11 +300,11 @@ def _ref_dual_step(H, pconj, p, w):
 def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
     """opnorm_lower on one operator, with M.conj().T formed on every step.
 
-    Each step takes the plain dual image of each column's accepted iterate,
-    extrapolates it by _ASCENT_BETA past the column's previous dual image
-    (not at p = 1, nor on a column's first step or the step after a
-    rejection) and scores only that point; a column whose ratio falls keeps
-    its iterate.  It runs on frozen copies of the column-norm, phase and
+    At p = 1 the best atom is the witness and no step runs.  Each step takes
+    the plain dual image of each column's accepted iterate, extrapolates it
+    by _ASCENT_BETA past the column's previous dual image (not on a column's
+    first step or the step after a rejection) and scores only that point; a
+    column whose ratio falls keeps its iterate.  It runs on frozen copies of the column-norm, phase and
     dual-image helpers, so the library's helpers are checked against them
     rather than against themselves.
     """
@@ -316,6 +316,9 @@ def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
         return 0.0, FunctionVector(np.ones(d), A.domain)
     ind_ratios = _ref_colnorms(M, q, wout) / win ** (1.0 / p)
     best_ind = int(np.argmax(ind_ratios))
+    if p == 1.0:
+        witness = FunctionVector(np.eye(d, dtype=complex)[best_ind], A.domain)
+        return float(lp_norm(apply(A, witness), q) / lp_norm(witness, p)), witness
     rng = np.random.default_rng(seed)
     cols = [np.ones((d, 1), dtype=complex)]
     e = np.zeros((d, 1), dtype=complex)
@@ -339,7 +342,7 @@ def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
             R[:, :half] = np.abs(R[:, :half])
         cols.append(R)
     F = np.concatenate(cols, axis=1)
-    pconj = math.inf if p == 1.0 else p / (p - 1.0)
+    pconj = p / (p - 1.0)
 
     def ratios_of(F, absF=None):
         fp = _ref_colnorms(F, p, win, absF)
@@ -363,19 +366,13 @@ def _ascent_with_per_step_adjoint(A, p, q, restarts=32, seed=0):
     for _ in range(_ASCENT_MAX_ITER):
         U = _ref_dual_image(G, q - 1.0)
         H = (M.conj().T @ (wout[:, None] * U)) / win[:, None]
-        if pconj == math.inf:
-            F = np.zeros_like(H)
-            idx = np.argmax(np.abs(H), axis=0)
-            F[idx, np.arange(H.shape[1])] = _ref_phase(H[idx, np.arange(H.shape[1])])
-            norms = _ref_colnorms(F, p, win)
-        else:
-            F, norms = _ref_dual_step(H, pconj, p, win)
+        F, norms = _ref_dual_step(H, pconj, p, win)
         dead = norms == 0
         if np.any(dead):
             F[:, dead] = 1.0
             norms = _ref_colnorms(F, p, win)
         F = F / norms[None, :]
-        if pconj == math.inf or prev is None:
+        if prev is None:
             Y = F
         else:
             Y = np.where(plain[None, :], F, (F - prev) * _ASCENT_BETA + F)
@@ -601,6 +598,41 @@ def test_ascent_reports_its_start():
     kinds = {"atom", "constant", "svd", "bifurcation", "random"}
     assert {opnorm_lower(A, p, q, seed=s).start
             for s in range(4) for p, q in ((1.5, 1.5), (1.2, 3.0), (1.0, 2.0))} <= kinds
+
+
+def test_one_to_q_norm_is_the_best_atom(monkeypatch):
+    # ||A||_(1->q) = max_j ||A e_j||_q / w_j: the L_1 unit ball is the convex
+    # hull of the phased atoms e_j / w_j and f -> ||Af||_q is convex, so p = 1
+    # needs neither the SVD nor the ascent
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched at p = 1")
+
+    monkeypatch.setattr("semisplit.opnorm._ascent", no_search)
+    monkeypatch.setattr(np.linalg, "svd", no_search)
+    rng = np.random.default_rng(3)
+    d = 5
+    weights = (np.full(d, 1.0 / d), rng.dirichlet(np.ones(d)))
+    for sp in map(FiniteProbabilitySpace, weights):
+        real = rng.standard_normal((d, d))
+        for M in (real, real + 1j * rng.standard_normal((d, d))):
+            A = OperatorMatrix.on(sp, M)
+            for q in (1.0, 1.5, 2.0, 3.0):
+                cols = [lp_norm(FunctionVector(M[:, j], sp), q) / sp.weights[j] for j in range(d)]
+                j = int(np.argmax(cols))
+                est = opnorm_lower(A, 1.0, q)
+                assert est.value == cols[j]
+                assert np.array_equal(est.witness.values, np.eye(d)[j])
+                assert (est.steps, est.start) == (0, "atom")
+                # no other function does better
+                fs = [FunctionVector(rng.standard_normal(d) + 1j * rng.standard_normal(d), sp)
+                      for _ in range(200)]
+                best = max(lp_norm(apply(A, f), q) / lp_norm(f, 1.0) for f in fs)
+                assert best <= est.value * (1 + 1e-12)
+    # a stack answers each operator as its own call would
+    ops = [OperatorMatrix.on(sp, m) for m in (real, np.zeros((d, d)), 2.0**300 * real)]
+    stacked = opnorm_lower_many(ops, 1.0, 2.0)
+    assert [est.value for est in stacked] == [opnorm_lower(A, 1.0, 2.0).value for A in ops]
+    assert stacked[2].value == 2.0**300 * stacked[0].value
 
 
 def test_oracle_one_atom_is_exact():

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -23,6 +24,30 @@ def test_package_reexports_each_module_all(name):
 
 def test_package_all_has_no_duplicates():
     assert len(semisplit.__all__) == len(set(semisplit.__all__))
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither uses nor lists in its ``__all__``."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ) and isinstance(node.value, ast.List):
+            used |= {elt.value for elt in node.value.elts}
+    return [name for name in imported if name not in used]
+
+
+def test_src_has_no_unused_imports():
+    src = Path(semisplit.__file__).resolve().parent
+    unused = {path.name: _unused_imports(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def _load_perfbench(name):

@@ -439,7 +439,8 @@ def test_split_stacks_t0_and_t1_over_its_damping_levels(
     "epsilon, n_range, error",
     [(0.0, [1, 2], DomainError), (1.5, [1, 2], DomainError),
      (1e-2, [0, 2], DomainError), (1e-2, [2, 11], CostGuardError),
-     (1e-2, [], DomainError), ([1e-1, 1e-2], [1], DomainError), ((1e-2,), [1], DomainError)],
+     (1e-2, [], DomainError), ([1e-1, 1e-2], [1], DomainError), ((1e-2,), [1], DomainError),
+     (1e-2, [2, 2.5], DomainError)],
 )
 def test_dimension_sweep_fails_before_any_ascent(
     monkeypatch, default_domain, default_measure, epsilon, n_range, error

@@ -13,7 +13,12 @@ from semisplit import (
     first_level_subspace,
     restricted_isomorphism_check,
 )
-from semisplit.errors import ConditioningError, ConvergenceError, DomainError
+from semisplit.errors import (
+    ConditioningError,
+    ConvergenceError,
+    DomainError,
+    InvalidExponentError,
+)
 from semisplit.subspaces import Subspace
 
 P = 1.5
@@ -266,4 +271,14 @@ def test_bad_restarts_raise_before_any_search(monkeypatch, restarts):
     for run in (restricted_isomorphism_check, build_projection):
         with pytest.raises(DomainError, match="whole number of restarts"):
             run(T, X, P, restarts=restarts)
+    assert statuses == []
+
+
+@pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+def test_bad_exponent_raises_before_any_search(monkeypatch, p):
+    T, X = CubeNoiseSemigroup(3).evaluate(0.3), first_level_subspace(3)
+    statuses = _recording_minimize(monkeypatch)
+    for run in (restricted_isomorphism_check, build_projection):
+        with pytest.raises(InvalidExponentError):
+            run(T, X, p)
     assert statuses == []
