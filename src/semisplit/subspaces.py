@@ -22,9 +22,16 @@ __all__ = [
     "restricted_isomorphism_check",
     "build_projection",
     "first_level_subspace",
+    "INJECTIVITY_LIMIT",
+    "PROJECTION_RESIDUAL_LIMIT",
 ]
 
 _COND_LIMIT = 1e10
+# build_projection's limits: the least ratio of the lower to the upper
+# restricted bound, a rule that no scaling of T moves, and the largest
+# entry of P^2 - P and of PB - B
+INJECTIVITY_LIMIT = 1e-8
+PROJECTION_RESIDUAL_LIMIT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -152,15 +159,17 @@ def build_projection(
     """Projection onto X through T: invert the restriction after projecting onto T(X).
 
     P = (T|_X)^{-1} o Q o T with Q the weighted-L2 orthogonal projection onto
-    T(X).  Postconditions checked here: P^2 = P within 1e-9 and P fixes X.
-    Returns (P, ||P||_{p->p}).
+    T(X).  T|_X must be injective: its lower restricted ratio must exceed
+    INJECTIVITY_LIMIT times its upper one.  Postconditions checked here:
+    P^2 = P and PB = B for the basis B of X, each to PROJECTION_RESIDUAL_LIMIT
+    entrywise.  Returns (P, ||P||_{p->p}).
     """
     _check_restarts(restarts)
-    lower, _ = restricted_isomorphism_check(T, X, p, restarts=4, seed=seed)
+    lower, upper = restricted_isomorphism_check(T, X, p, restarts=4, seed=seed)
     # every guard below is written so that a NaN fails it
-    if not lower > 1e-8:
+    if not lower > INJECTIVITY_LIMIT * upper:
         raise ConditioningError(
-            f"restriction of T to X is numerically singular (lower bound {lower})"
+            f"restriction of T to X is numerically singular (lower bound {lower}, upper {upper})"
         )
     B = X.matrix
     TB = T.entries @ B
@@ -175,10 +184,10 @@ def build_projection(
     P_entries = B @ coeff
     P = OperatorMatrix.on(X.space, P_entries)
     idem = float(np.abs(P_entries @ P_entries - P_entries).max())
-    if not idem <= 1e-9:
+    if not idem <= PROJECTION_RESIDUAL_LIMIT:
         raise ConvergenceError(f"projection is not idempotent: residual {idem}")
     fix = float(np.abs(P_entries @ B - B).max())
-    if not fix <= 1e-9:
+    if not fix <= PROJECTION_RESIDUAL_LIMIT:
         raise ConvergenceError(f"projection does not fix the subspace: residual {fix}")
     norm_pp = opnorm_lower(P, p, p, restarts=restarts, seed=seed).value
     return P, float(norm_pp)

@@ -39,6 +39,7 @@ from semisplit import (
 from semisplit.cli import GATES
 from semisplit.ideals import spectral_norm
 from semisplit.splitter import PADDING
+from semisplit.subspaces import PROJECTION_RESIDUAL_LIMIT
 from triangle_reference import triangle_damping
 
 P = 1.5
@@ -141,7 +142,7 @@ def test_criterion_4_harmonic_measure(acceptance_log, default_domain, default_me
     flat = TriangleDomain(0.3466, 0.3466, 0.1733, 0.1733)
     flat_hm = harmonic_measure(flat, 256)
     est, se = brownian_exit_theta(flat, walkers=100_000, seed=0)
-    mc_ok = abs(est - flat_hm.theta) <= 3 * se
+    mc_ok = abs(est - flat_hm.theta) <= GATES["theta_vs_walkers_se"] * se
     # strip sanity: harmonic measure of the Re = 1 line at w equals Re(w);
     # reproduce it through the disk equivalence and a Moebius recentering
     strip_worst = 0.0
@@ -154,10 +155,12 @@ def test_criterion_4_harmonic_measure(acceptance_log, default_domain, default_me
                 2 * math.pi
             )
             strip_worst = max(strip_worst, abs(measure - w0.real))
-    ok = mass_err <= 1e-8 and mean_err <= 1e-7 and mc_ok and strip_worst <= 1e-8
+    ok = (mass_err <= GATES["measure_mass"] and mean_err <= GATES["measure_mean_value"]
+          and mc_ok and strip_worst <= 1e-8)
     assert record(
         acceptance_log, 4, ok,
-        f"mass err {mass_err:.1e} (1e-8), mean-value err {mean_err:.1e} (1e-7), "
+        f"mass err {mass_err:.1e} ({GATES['measure_mass']}), "
+        f"mean-value err {mean_err:.1e} ({GATES['measure_mean_value']}), "
         f"theta {flat_hm.theta:.3e} vs walkers {est:.3e}+-{se:.1e} ({'ok' if mc_ok else 'off'}), "
         f"strip closed form dev {strip_worst:.1e} (1e-8)",
     )
@@ -171,10 +174,11 @@ def test_criterion_5_damping_exactness(acceptance_log, default_domain, default_m
     target = eps ** ((hm.theta - 1) / hm.theta)
     v1_err = float(np.abs(np.abs(psi[hm.is_v1]) / target - 1.0).max())
     at_t = abs(triangle_damping(hm, eps, default_domain.t) - 1.0)
-    ok = v0_err <= 1e-7 and v1_err <= 1e-6 and at_t <= 1e-10
+    ok = v0_err <= GATES["damping_v0"] and v1_err <= GATES["damping_v1_rel"] and at_t <= 1e-10
     assert record(
         acceptance_log, 5, ok,
-        f"|psi| on V0 err {v0_err:.1e} (1e-7), on V1 rel {v1_err:.1e} (1e-6), "
+        f"|psi| on V0 err {v0_err:.1e} ({GATES['damping_v0']}), "
+        f"on V1 rel {v1_err:.1e} ({GATES['damping_v1_rel']}), "
         f"psi(t)-1 {at_t:.1e} (1e-10)",
     )
 
@@ -193,7 +197,7 @@ def test_criterion_6_hypercontractive_threshold(acceptance_log):
                 continue
             at = opnorm_lower(S.evaluate(s_star), p, 2.0, seed=1).value
             below = opnorm_lower(S.evaluate(0.9 * s_star), p, 2.0, seed=1).value
-            good = abs(at - 1.0) <= 1e-3 and below > 1.0 + 1e-3
+            good = abs(at - 1.0) <= PADDING and below > 1.0 + PADDING
             ok = ok and good
             results.append((p, n, f"{at:.5f}/{below:.5f}"))
     assert record(
@@ -213,11 +217,11 @@ def test_criterion_7_estimator_soundness(acceptance_log):
             lo = opnorm_lower(A, p, q, seed=k).value
             orc = opnorm_oracle(A, p, q, seed=1000 + k)
             worst = max(worst, abs(lo - orc) / max(lo, orc))
-    ok = worst <= 1e-3
+    ok = worst <= PADDING
     assert record(
         acceptance_log, 7, ok,
         f"ascent vs dense oracle on 100 matrices x 3 exponent pairs: "
-        f"worst relative gap {worst:.2e} (limit 1e-3)",
+        f"worst relative gap {worst:.2e} (limit {PADDING})",
     )
 
 
@@ -272,16 +276,17 @@ def test_criterion_9_ideal_layer(acceptance_log, default_domain, default_measure
         "trace-norm": measure_compatibility(tr, spectral_norm, pairs),
         "into-hilbert": measure_compatibility(g2, pp_norm, pairs),
     }
-    comp_ok = all(r <= 1.0 + 1e-3 for r in ratios.values())
+    comp_ok = all(r <= 1.0 + PADDING for r in ratios.values())
 
     certs = _hs_sweep(default_domain, default_measure, cube3)
-    recon_ok = certs[1.0].recon_error_pp <= 1e-7 and certs[1e-2].recon_error_pp <= 1e-6
+    recon_ok = (certs[1.0].recon_error_pp <= 1e-7
+                and certs[1e-2].recon_error_pp <= GATES["recon_error"])
     flags_ok = all(certs[e].bound_T0_ok and certs[e].bound_T1_ok for e in EPS_SWEEP)
     ok = comp_ok and recon_ok and flags_ok
     assert record(
         acceptance_log, "9 (composition and bounds)", ok,
         f"compatibility ratios {dict((k, round(v, 6)) for k, v in ratios.items())} "
-        f"(limit 1+1e-3), generic-split recon eps=1e-2: {certs[1e-2].recon_error_pp:.1e}, "
+        f"(limit 1+{PADDING}), generic-split recon eps=1e-2: {certs[1e-2].recon_error_pp:.1e}, "
         f"bound flags over sweep: {flags_ok}",
     )
 
@@ -328,10 +333,12 @@ def test_criterion_10_projection_demo(acceptance_log):
         norms.append(norm_pp)
     factor = max(norms) / min(norms)
     limit = GATES["projection_norm_factor"]
-    ok = worst_idem <= 1e-9 and worst_fix <= 1e-9 and factor <= limit
+    ok = (worst_idem <= PROJECTION_RESIDUAL_LIMIT and worst_fix <= PROJECTION_RESIDUAL_LIMIT
+          and factor <= limit)
     assert record(
         acceptance_log, 10, ok,
-        f"first-level projections n=2..8: idempotence {worst_idem:.1e} (1e-9), "
+        f"first-level projections n=2..8: idempotence {worst_idem:.1e} "
+        f"({PROJECTION_RESIDUAL_LIMIT}), "
         f"fixes X {worst_fix:.1e}, norm factor {factor:.3f} ({limit}); "
         f"norms {np.round(norms, 5).tolist()}",
     )

@@ -121,9 +121,12 @@ def test_split_reconstruction_above_gate_exits_1(tmp_path):
 
 
 # a non-finite side or point would pass the order checks and fail later in the
-# map, a negative seed in the random generator after the first output is written
+# map, a negative seed in the random generator after the first output is
+# written, and a repeated eps would overwrite its own certificate file
 @pytest.mark.parametrize(
-    "overrides", [["t=99"], ["a=inf", "t=0.2"], ["b=inf"], ["seed=-1"]], ids=",".join
+    "overrides",
+    [["t=99"], ["a=inf", "t=0.2"], ["b=inf"], ["seed=-1"], ["epsilons=0.1,0.1", "n=2"]],
+    ids=",".join,
 )
 def test_invalid_config_exits_2_and_writes_nothing(tmp_path, overrides):
     out = tmp_path / "x"

@@ -75,11 +75,13 @@ def test_perfbench_trace_targets_resolve():
 
 
 def test_perfbench_limits_match_the_library():
-    # the benchmark keeps its own copies of the reconstruction gate and of
-    # the padding, which is its ascent-vs-oracle limit
+    # the benchmark keeps its own copies of the reconstruction gate, of the
+    # padding, which is its ascent-vs-oracle limit, and of the projection
+    # residual limit
     workloads = _load_perfbench("workloads")
     assert workloads.RECON_CEILING == semisplit.cli.GATES["recon_error"]
     assert workloads.GAP_LIMIT == semisplit.PADDING
+    assert workloads.PROJECTION_RESIDUAL_LIMIT == semisplit.subspaces.PROJECTION_RESIDUAL_LIMIT
 
 
 def test_import_does_not_load_scipy_optimize():
@@ -96,13 +98,14 @@ def test_import_does_not_load_scipy_optimize():
     assert proc.stdout.strip() == "False"
 
 
-def test_perfbench_traced_split_sweep_runs_clean():
+@pytest.mark.parametrize("workload", ["split-sweep", "dimsweep", "verify-dense"])
+def test_perfbench_traced_run_is_clean(workload):
     # a traced run exits 1 when a refactor leaves a layer of the trace
     # baseline (perfbench/reference/baseline_layers.json) without calls; one
     # repetition of each mode takes a few seconds
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "split-sweep", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "0", "--trace", "1"],
         cwd=root, capture_output=True, text=True, timeout=170,
     )

@@ -141,6 +141,22 @@ def test_singular_restriction_raises():
         build_projection(Z, X, P)
 
 
+@pytest.mark.parametrize("c", [2.0**-40, 1e-9, 1.0, 2.0**40], ids=["2^-40", "1e-9", "1", "2^40"])
+def test_projection_is_scale_free(c):
+    # P = (T|_X)^{-1} Q T does not change when T is scaled, and neither does
+    # the injectivity verdict, which weighs the lower restricted ratio
+    # against the upper one; a power of two scales every step exactly
+    T, X = CubeNoiseSemigroup(3).evaluate(0.3), first_level_subspace(3)
+    base, base_norm = build_projection(T, X, P)
+    scaled, norm = build_projection(OperatorMatrix(T.entries * c, T.domain, T.codomain), X, P)
+    if math.frexp(c)[0] == 0.5:
+        assert np.array_equal(scaled.entries, base.entries)
+        assert norm == base_norm
+    else:
+        assert np.abs(scaled.entries - base.entries).max() <= 1e-12 * np.abs(base.entries).max()
+        assert norm == pytest.approx(base_norm, rel=1e-12)
+
+
 def test_flat_ratio_costs_one_simplex(monkeypatch):
     # T(t) is the scalar e^-t on the first Walsh level, so the ratio is flat and
     # each Nelder-Mead search should stop on its first simplex (2k + 1 values)
