@@ -8,6 +8,7 @@ the relative ``PADDING`` that downstream inequality checks allow.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -190,8 +191,10 @@ def opnorm_lower_many(
     and each value still come from the dense entries.  An operator whose
     largest entry part lies outside [2^-64, 2^64] ascends scaled by a power
     of two 2^-e, and its value is scaled back exactly.  Non-finite entries
-    raise DomainError, a non-finite value ConvergenceError.
+    and a seed that is not a whole number at least 0 raise DomainError, a
+    non-finite value ConvergenceError.
     """
+    seed = _check_whole(seed, "seed", 0)
     _check_exponent(p)
     _check_exponent(q)
     _check_restarts(restarts)
@@ -477,6 +480,32 @@ def _oracle_normals(d: int, seed: int):
     )
 
 
+# opnorm_oracle's last draw: its (d, seed), a weak reference to the domain
+# that asked for it, and the draw.  Collecting that domain empties the slot,
+# so at most one draw (10.5 MB at d = 6) outlives a call, and none outlives
+# its space.
+_oracle_slot: list = []
+
+
+def _memo_normals(domain, seed: int):
+    """:func:`_oracle_normals` of ``(domain.size, seed)``, read-only, from the slot."""
+    key = (domain.size, seed)
+    if _oracle_slot and _oracle_slot[0][0] == key:
+        return _oracle_slot[0][2]
+    # drop the old draw first, so two are never alive at once
+    _oracle_slot.clear()
+    draw = _oracle_normals(*key)
+    for z in draw:
+        z.flags.writeable = False
+
+    def forget(ref):
+        if _oracle_slot and _oracle_slot[0][1] is ref:
+            _oracle_slot.clear()
+
+    _oracle_slot.append((key, weakref.ref(domain, forget), draw))
+    return draw
+
+
 def _power_sums(w: np.ndarray, Z2: np.ndarray, expo: float) -> np.ndarray:
     """w @ |z|^expo over the columns z whose squared real form is Z2 (overwritten).
 
@@ -510,8 +539,12 @@ def opnorm_oracle(A: OperatorMatrix, p: float, q: float, seed: int = 0) -> float
     its value.  The noise is drawn up front in the order a one-candidate-at-a-
     time walk would draw it, so the search set is unchanged.
 
-    The random directions and the noise are views of one draw
-    (:func:`_oracle_normals`).  The scan scores the directions in chunks of
+    The random directions and the noise are read-only views of one draw
+    (:func:`_oracle_normals`), which a one-draw memo keyed on (d, seed)
+    keeps until a call with another key or until the domain that asked for it
+    is collected: calls on one space share a draw, and at most one draw
+    (10.5 MB at d = 6) outlives a call.  ``seed`` is a whole number at least
+    0, else DomainError.  The scan scores the directions in chunks of
     ``_ORACLE_CHUNK`` columns, in real arithmetic on their real and imaginary
     parts, and keeps a running top 30 (ties to the earlier direction); the
     polish runs in the same arithmetic, and the value is the complex ratio at
@@ -520,6 +553,7 @@ def opnorm_oracle(A: OperatorMatrix, p: float, q: float, seed: int = 0) -> float
     scaled back exactly.  Guarded to input dimension <= ORACLE_DIM_LIMIT;
     non-finite entries raise DomainError, a non-finite value ConvergenceError.
     """
+    seed = _check_whole(seed, "seed", 0)
     _check_exponent(p)
     _check_exponent(q)
     d = A.domain.size
@@ -555,7 +589,7 @@ def opnorm_oracle(A: OperatorMatrix, p: float, q: float, seed: int = 0) -> float
             grid = np.stack([np.cos(ang), np.sin(ang)])
         elif d == 3:
             grid = _fibonacci_sphere(40_000)
-    R, XY, noise = _oracle_normals(d, seed)
+    R, XY, noise = _memo_normals(A.domain, seed)
     blocks = ((grid, K_real), (R, K_real), (XY, K_complex))
 
     # the ratio is scale-invariant, so the raw directions are scored as drawn

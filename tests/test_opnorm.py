@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -37,6 +38,7 @@ from semisplit.opnorm import (
     _WALSH_MIN_ATOMS,
     _colnorms,
     _fibonacci_sphere,
+    _memo_normals,
     _oracle_normals,
     _phase,
     _walsh_product,
@@ -232,6 +234,75 @@ def test_oracle_normals_are_four_consecutive_draws(d):
         assert np.array_equal(polish, noise)
 
 
+@pytest.fixture
+def oracle_draws(monkeypatch):
+    """An empty oracle memo, and the (d, seed) of each draw made into it."""
+    slot, draws = [], []
+
+    def counted(d, seed):
+        draws.append((d, seed))
+        return _oracle_normals(d, seed)
+
+    monkeypatch.setattr("semisplit.opnorm._oracle_slot", slot)
+    monkeypatch.setattr("semisplit.opnorm._oracle_normals", counted)
+    return slot, draws
+
+
+def test_oracle_calls_on_one_space_share_one_draw(oracle_draws):
+    # criterion 7's exponent pairs on one operator, as a soundness check makes them
+    slot, draws = oracle_draws
+    rng = np.random.default_rng(8)
+    A = OperatorMatrix.on(FiniteProbabilitySpace.uniform(6), rng.standard_normal((6, 6)))
+    pairs = ((1.5, 1.5), (1.5, 2.0), (2.0, 2.0))
+    cold = []
+    for p, q in pairs:
+        slot.clear()
+        cold.append(opnorm_oracle(A, p, q, seed=3))
+    slot.clear()
+    draws.clear()
+    assert [opnorm_oracle(A, p, q, seed=3) for p, q in pairs] == cold
+    assert draws == [(6, 3)]
+
+
+def test_oracle_draws_again_for_a_new_seed_or_size(oracle_draws):
+    slot, draws = oracle_draws
+    rng = np.random.default_rng(9)
+    A = OperatorMatrix.on(FiniteProbabilitySpace.uniform(3), rng.standard_normal((3, 3)))
+    B = OperatorMatrix.on(FiniteProbabilitySpace.uniform(4), rng.standard_normal((4, 4)))
+    for op, seed in ((A, 0), (A, 0), (A, 1), (B, 1), (B, 1), (A, 1)):
+        opnorm_oracle(op, 1.5, 2.0, seed=seed)
+    assert draws == [(3, 0), (3, 1), (4, 1), (3, 1)]
+    assert len(slot) == 1
+
+
+def test_oracle_checked_splits_on_one_cube_draw_once(oracle_draws, default_domain,
+                                                     default_measure):
+    # each split checks its T0 and T1 against the oracle on the cube's space
+    _, draws = oracle_draws
+    cube = CubeNoiseSemigroup(2)
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+        split(cube, default_domain, default_measure, 1.5, eps, seed=0, oracle_check=True)
+    assert draws == [(4, 0)]
+
+
+def test_oracle_memo_lets_its_domain_go(oracle_draws):
+    slot, _ = oracle_draws
+    A = OperatorMatrix.on(FiniteProbabilitySpace.uniform(5), np.arange(25.0).reshape(5, 5))
+    opnorm_oracle(A, 1.5, 2.0)
+    assert len(slot) == 1
+    del A
+    gc.collect()
+    assert slot == []
+
+
+def test_oracle_memo_arrays_are_read_only(oracle_draws):
+    sp = FiniteProbabilitySpace.uniform(2)
+    for _ in range(2):  # the draw, then the memo's hit
+        for z in _memo_normals(sp, 0):
+            with pytest.raises(ValueError, match="read-only"):
+                z[...] = 0.0
+
+
 @pytest.mark.parametrize("d", (2, 3, 6))
 def test_oracle_value_does_not_depend_on_the_chunk(d, monkeypatch):
     rng = np.random.default_rng(60 + d)
@@ -255,20 +326,33 @@ def test_oracle_scales_with_the_operator(k):
             assert scaled == pytest.approx(math.ldexp(base, k), rel=1e-13)
 
 
-def test_oracle_scan_memory():
-    # the scan keeps only one chunk of products and squares beside the draw
-    # of 1.3e6 normals (10.5 MB at d = 6)
+def test_oracle_scan_memory(oracle_draws):
+    # a cold call keeps only one chunk of products and squares beside the draw
+    # of 1.3e6 normals (10.5 MB at d = 6); a warm call on the same space
+    # allocates no draw (the smallest block of one, R, is 2.4 MB).  Measured:
+    # 11.1 MB cold, 0.6 MB warm.
+    _, draws = oracle_draws
     rng = np.random.default_rng(6)
-    A = OperatorMatrix.on(FiniteProbabilitySpace.uniform(6),
-                          rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-    opnorm_oracle(A, 1.5, 2.0)
+    M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    # the warm-up's space is collected when its call returns
+    opnorm_oracle(OperatorMatrix.on(FiniteProbabilitySpace.uniform(6), M), 1.5, 2.0)
+    A = OperatorMatrix.on(FiniteProbabilitySpace.uniform(6), M)
+    # each call's peak above what was traced when it began: the cold call's
+    # draw stays traced in the memo
+    peaks = []
     tracemalloc.start()
     try:
-        opnorm_oracle(A, 1.5, 2.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            opnorm_oracle(A, 1.5, 2.0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    cold, warm = peaks
+    assert draws == [(6, 0), (6, 0)]
+    assert cold < 12e6
+    assert warm < 2e6
 
 
 def _ref_colnorms(F, p, w, absF=None):
@@ -664,6 +748,29 @@ def test_restarts_must_be_a_whole_number_at_least_zero(restarts):
     # any integral type passes, as for the cube's n and the measure's nodes
     assert (opnorm_lower(A, 1.5, 2.0, restarts=np.int64(3)).value
             == opnorm_lower(A, 1.5, 2.0, restarts=3).value)
+
+
+@pytest.mark.parametrize("seed", [None, -1, 0.0, "0"])
+def test_seed_must_be_a_whole_number_at_least_zero(seed, oracle_draws):
+    # seed=None would draw from OS entropy, which no memo may key on
+    slot, draws = oracle_draws
+    A = OperatorMatrix.on(FiniteProbabilitySpace.uniform(2), np.array([[1.0, 2.0], [0.0, 1.0]]))
+    calls = (
+        lambda: opnorm_lower(A, 1.5, 2.0, seed=seed),
+        lambda: opnorm_lower_many([A, A], 1.5, 1.5, seed=seed),
+        lambda: opnorm_oracle(A, 1.5, 2.0, seed=seed),
+    )
+    value = opnorm_oracle(A, 1.5, 2.0, seed=0)
+    for _ in range(2):  # a draw in the memo, then none
+        for call in calls:
+            with pytest.raises(DomainError, match="whole number of seed"):
+                call()
+        slot.clear()
+    assert draws == [(2, 0)]
+    # any integral type passes, and keys the memo as its int
+    assert opnorm_oracle(A, 1.5, 2.0, seed=np.int64(0)) == value
+    assert opnorm_oracle(A, 1.5, 2.0, seed=0) == value
+    assert draws == [(2, 0), (2, 0)]
 
 
 def test_hypercontractive_time_values():
