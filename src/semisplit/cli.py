@@ -339,8 +339,8 @@ def run_checks(cfg: ExperimentConfig) -> int:
     for _ in range(5):
         A = OperatorMatrix.on(space, rng.standard_normal((space.size,) * 2))
         Bm = OperatorMatrix.on(space, rng.standard_normal((space.size,) * 2))
+        lhs = opnorm_lower(compose(A, Bm), cfg.p, 2.0, restarts=8, seed=cfg.seed).value
         for r in (cfg.p, 2.0):
-            lhs = opnorm_lower(compose(A, Bm), cfg.p, 2.0, restarts=8, seed=cfg.seed).value
             rhs = (
                 opnorm_lower(A, r, 2.0, restarts=8, seed=cfg.seed).value
                 * opnorm_lower(Bm, cfg.p, r, restarts=8, seed=cfg.seed).value

@@ -70,14 +70,109 @@ class Subspace:
         return np.stack([f.values for f in self.basis], axis=1)
 
 
+def _nelder_mead(func, x0, maxiter: int, fatol: float) -> tuple[float, int, bool]:
+    """Minimize func from x0 by Nelder-Mead; return (best value, evaluations, converged).
+
+    A step-for-step port of ``_minimize_neldermead`` from scipy 1.17.1
+    (scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc. and 2003-2024 SciPy Developers) for the options this
+    module uses: no bounds, the non-adaptive coefficients, scipy's initial
+    simplex (each coordinate times 1.05, a zero one set to 0.00025), no cap
+    on evaluations and ``xatol=inf``.  It gives the same value, evaluation
+    count and success as ``scipy.optimize.minimize(func, x0,
+    method="Nelder-Mead", options={"maxiter": maxiter, "xatol": np.inf,
+    "fatol": fatol})``.  The stop test is scipy's, width clause included, so a
+    NaN in the simplex keeps the search going as it does there; func gets a
+    copy of each point and must return a float.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    xatol = np.inf
+    x0 = np.asarray(x0, dtype=np.float64).flatten()
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return func(np.copy(x))
+
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = f(sim[k])
+    # scipy sorts twice here; the second sort can reorder equal values
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        doshrink = 0
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+                else:
+                    doshrink = 1
+            else:
+                # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+                else:
+                    doshrink = 1
+            if doshrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return np.min(fsim), nfev, iterations < maxiter
+
+
 def _ratio_extremum(T: OperatorMatrix, X: Subspace, p: float, maximize: bool,
                     restarts: int, seed: int) -> float:
     _check_exponent(p)
     _check_restarts(restarts)
-    # imported here, not with the package: no other code needs scipy.optimize,
-    # which loads over 200 modules
-    from scipy.optimize import minimize
-
     B = X.matrix
     TB = T.entries @ B
     w_in = X.space.weights
@@ -117,15 +212,18 @@ def _ratio_extremum(T: OperatorMatrix, X: Subspace, p: float, maximize: bool,
     best = -np.inf if maximize else np.inf
     # only the extremum's value is returned, never its argmin, so the search
     # stops once the simplex values agree (fatol) however wide the simplex
-    # still is: xatol=inf, since scipy's default 1e-4 would keep shrinking it
+    # still is: no width test, since one would keep shrinking the simplex
     # along the ratio's flat directions (the scale and phase of c, and all of
     # them when T is a scalar on X)
     for x0 in starts:
-        res = minimize(lambda x: sign * ratio(x), x0, method="Nelder-Mead",
-                       options={"maxiter": 4000, "xatol": np.inf, "fatol": 1e-14})
-        if not res.success:
-            raise ConvergenceError(f"restricted-isomorphism search: {res.message}")
-        val = sign * res.fun
+        fun, _, converged = _nelder_mead(lambda x: sign * ratio(x), x0,
+                                         maxiter=4000, fatol=1e-14)
+        if not converged:
+            raise ConvergenceError(
+                "restricted-isomorphism search: "
+                "Maximum number of iterations has been exceeded."
+            )
+        val = sign * fun
         best = max(best, val) if maximize else min(best, val)
         direct = ratio(x0)
         best = max(best, direct) if maximize else min(best, direct)
@@ -141,8 +239,9 @@ def restricted_isomorphism_check(
 ) -> tuple[float, float]:
     """Estimate inf and sup of ||Tf||_p / ||f||_p over f in X.
 
-    Multistart optimization over the coordinate sphere of X; the restriction is
-    an isomorphism exactly when the lower bound is positive.
+    Multistart Nelder-Mead over the coordinates of X, run by this module's
+    ``_nelder_mead`` (a port of scipy's, with the same values); the restriction
+    is an isomorphism exactly when the lower bound is positive.
     """
     lower = _ratio_extremum(T, X, p, maximize=False, restarts=restarts, seed=seed)
     upper = _ratio_extremum(T, X, p, maximize=True, restarts=restarts, seed=seed + 1)

@@ -84,18 +84,46 @@ def test_perfbench_limits_match_the_library():
     assert workloads.PROJECTION_RESIDUAL_LIMIT == semisplit.subspaces.PROJECTION_RESIDUAL_LIMIT
 
 
-def test_import_does_not_load_scipy_optimize():
-    # only the corollary's Nelder-Mead search needs scipy.optimize (~240
-    # modules); it is imported where that search runs, not with the package
+def _loads_scipy_optimize(code: str) -> bool:
+    """Run code in a fresh interpreter on this checkout's src/; say whether
+    scipy.optimize is then loaded."""
     src = str(Path(semisplit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, semisplit, semisplit.cli; print('scipy.optimize' in sys.modules)"
+    code += "\nimport sys; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize loads about 240 modules and no code in src/ uses it:
+    # the corollary's Nelder-Mead search is subspaces._nelder_mead
+    assert _loads_scipy_optimize("import semisplit, semisplit.cli") is False
+
+
+def test_corollary_does_not_load_scipy_optimize(tmp_path):
+    code = f"import semisplit.cli; semisplit.cli.main(['corollary', '--out', {str(tmp_path)!r}])"
+    assert _loads_scipy_optimize(code) is False
+
+
+def test_src_does_not_name_scipy_optimize():
+    # scipy stays a test-side reference for the search, never a src/ import
+    src = Path(semisplit.__file__).resolve().parent
+    named = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            named += [f"{path.name}: {m}" for m in modules
+                      if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+    assert named == []
 
 
 @pytest.mark.parametrize("workload", ["split-sweep", "dimsweep", "verify-dense"])

@@ -19,6 +19,7 @@ from semisplit.errors import (
     DomainError,
     InvalidExponentError,
 )
+from semisplit import subspaces
 from semisplit.subspaces import Subspace
 
 P = 1.5
@@ -157,26 +158,67 @@ def test_projection_is_scale_free(c):
         assert norm == pytest.approx(base_norm, rel=1e-12)
 
 
+def _recording_search(monkeypatch, **forced):
+    """Record each search's status (scipy's codes: 0 converged, 2 at the
+    iteration cap) and evaluation count, with any keyword forced."""
+    statuses, nfev = [], []
+    search = subspaces._nelder_mead
+
+    def recording(func, x0, **kwargs):
+        res = search(func, x0, **{**kwargs, **forced})
+        statuses.append(0 if res[2] else 2)
+        nfev.append(res[1])
+        return res
+
+    monkeypatch.setattr(subspaces, "_nelder_mead", recording)
+    return statuses, nfev
+
+
 def test_flat_ratio_costs_one_simplex(monkeypatch):
     # T(t) is the scalar e^-t on the first Walsh level, so the ratio is flat and
     # each Nelder-Mead search should stop on its first simplex (2k + 1 values)
-    import scipy.optimize
-
-    nfev = []
-    minimize = scipy.optimize.minimize
-
-    def counting_minimize(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        nfev.append(res.nfev)
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "minimize", counting_minimize)
+    _, nfev = _recording_search(monkeypatch)
     n, t = 8, 0.3
     X = first_level_subspace(n)
     lo, hi = restricted_isomorphism_check(CubeNoiseSemigroup(n).evaluate(t), X, P)
     assert lo == pytest.approx(math.exp(-t), rel=1e-12)
     assert hi == pytest.approx(math.exp(-t), rel=1e-12)
     assert nfev and max(nfev) <= 2 * (2 * X.dim + 1)
+
+
+def _objective(kind, n, rng):
+    if kind == "quadratic":
+        # well conditioned, so that the search converges in 10 variables too
+        d, c = rng.uniform(1.0, 2.0, n), rng.standard_normal(n)
+        return lambda x: float(np.sum(d * (x - c) ** 2))
+    if kind == "p-ratio":
+        A = rng.standard_normal((n + 2, n))
+        # scale-free like the restricted-isomorphism ratio, so flat along x
+        return lambda x: float(np.sum(np.abs(A @ x) ** P) ** (1 / P)
+                               / np.sum(np.abs(x) ** P) ** (1 / P))
+    return lambda x: 0.7
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "p-ratio", "flat"])
+def test_nelder_mead_matches_scipy(kind):
+    # scipy is the reference here, as triangle_reference.py is for the
+    # inverse map: the port must give scipy's value bits, evaluation count
+    # and success, both run to convergence (no search reaches a cap of
+    # 20000) and stopped at three iterations, which only the flat one beats
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(["quadratic", "p-ratio", "flat"].index(kind))
+    for n in range(2, 11):
+        func = _objective(kind, n, rng)
+        x0 = rng.standard_normal(n)
+        x0[rng.random(n) < 0.3] = 0.0  # zero coordinates take scipy's 0.00025 step
+        for maxiter in (20000, 3):
+            ref = minimize(func, x0, method="Nelder-Mead",
+                           options={"maxiter": maxiter, "xatol": np.inf, "fatol": 1e-14})
+            fun, nfev, converged = subspaces._nelder_mead(func, x0, maxiter=maxiter, fatol=1e-14)
+            assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes(), (n, maxiter)
+            assert (nfev, converged) == (ref.nfev, ref.success), (n, maxiter)
+            assert converged == (maxiter == 20000 or kind == "flat"), (n, maxiter)
 
 
 def _random_cube_case(n, t, seed):
@@ -227,22 +269,6 @@ def test_overflowing_image_gram_raises():
         build_projection(T, X, 1.0)
 
 
-def _recording_minimize(monkeypatch, **forced_options):
-    import scipy.optimize
-
-    statuses = []
-    minimize = scipy.optimize.minimize
-
-    def recording(*args, **kwargs):
-        kwargs["options"] = {**kwargs["options"], **forced_options}
-        res = minimize(*args, **kwargs)
-        statuses.append(res.status)
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "minimize", recording)
-    return statuses
-
-
 @pytest.mark.parametrize(
     "case, p",
     [(lambda: (CubeNoiseSemigroup(3).evaluate(0.3), first_level_subspace(3)), 1.0),
@@ -253,7 +279,7 @@ def test_search_is_scale_free(monkeypatch, case, p):
     # the stop rule compares ratio values, so an exact power-of-two scaling
     # of T scales the extrema and leaves every search converged
     T, X = case()
-    statuses = _recording_minimize(monkeypatch)
+    statuses, _ = _recording_search(monkeypatch)
     base = restricted_isomorphism_check(T, X, p, restarts=4, seed=0)
     scaled = restricted_isomorphism_check(
         OperatorMatrix(T.entries * 2.0**40, T.domain, T.codomain), X, p, restarts=4, seed=0
@@ -275,7 +301,7 @@ def test_underflowing_ratio_is_rescaled():
 
 def test_unconverged_search_raises(monkeypatch):
     T, X = _non_normal_case()
-    _recording_minimize(monkeypatch, maxiter=2)
+    _recording_search(monkeypatch, maxiter=2)
     with pytest.raises(ConvergenceError, match="restricted-isomorphism search"):
         restricted_isomorphism_check(T, X, P, restarts=1, seed=0)
 
@@ -283,7 +309,7 @@ def test_unconverged_search_raises(monkeypatch):
 @pytest.mark.parametrize("restarts", [2.5, -3])
 def test_bad_restarts_raise_before_any_search(monkeypatch, restarts):
     T, X = CubeNoiseSemigroup(2).evaluate(0.3), first_level_subspace(2)
-    statuses = _recording_minimize(monkeypatch)
+    statuses, _ = _recording_search(monkeypatch)
     for run in (restricted_isomorphism_check, build_projection):
         with pytest.raises(DomainError, match="whole number of restarts"):
             run(T, X, P, restarts=restarts)
@@ -293,7 +319,7 @@ def test_bad_restarts_raise_before_any_search(monkeypatch, restarts):
 @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
 def test_bad_exponent_raises_before_any_search(monkeypatch, p):
     T, X = CubeNoiseSemigroup(3).evaluate(0.3), first_level_subspace(3)
-    statuses = _recording_minimize(monkeypatch)
+    statuses, _ = _recording_search(monkeypatch)
     for run in (restricted_isomorphism_check, build_projection):
         with pytest.raises(InvalidExponentError):
             run(T, X, p)
