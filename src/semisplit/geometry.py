@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import beta as euler_beta
-from scipy.special import roots_jacobi
+from scipy.special import eval_jacobi
 
 from .errors import ConvergenceError, DomainError, _check_whole
 
@@ -142,6 +142,61 @@ class TriangleDomain:
         return d.min(axis=0), d.argmin(axis=0)
 
 
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The dense symmetric tridiagonal matrix with this diagonal and off-diagonal."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _roots_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights for the weight (1 - x)^a (1 + x)^b on [-1, 1].
+
+    A port of ``roots_jacobi`` and ``_gen_roots_and_weights`` from scipy 1.17.1
+    (scipy/special/_orthogonal.py; BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc. and 2003-2024 SciPy Developers) for its general branch:
+    Golub-Welsch eigenvalues of the Jacobi matrix, one Newton step on the
+    roots, and weights from log-normalised polynomial values.  Where scipy
+    calls ``scipy.linalg.eigvals_banded`` on the tridiagonal band, this calls
+    ``np.linalg.eigvalsh`` on the same matrix in dense form; both hand LAPACK's
+    ``dsterf`` the same diagonal and off-diagonal, so the nodes and weights are
+    the same bits as scipy's.  (At n = 1 scipy's band solver returns 0 for
+    the 1 x 1 band, so its one node, one Newton step from 0, can differ from
+    this one by an ulp.)  scipy sends a = b to other rules (Legendre,
+    Gegenbauer) and a + b > 1000 to a log-beta mass, so those raise here.
+    """
+    n = _check_whole(n, "Gauss-Jacobi nodes", 1)
+    if not (a > -1.0 and b > -1.0) or a == b or a + b > 1000.0:
+        raise DomainError(
+            f"Gauss-Jacobi exponents must be > -1, unequal and sum to at most 1000; "
+            f"got {a!r} and {b!r}"
+        )
+    mu0 = 2.0 ** (a + b + 1) * euler_beta(a + 1, b + 1)
+    # the Jacobi matrix: diagonal entries k = 0..n-1, off-diagonal k = 1..n-1
+    k = np.arange(1, n, dtype="d")
+    diag = np.concatenate((
+        [(b - a) / (2 + a + b)],
+        (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2)),
+    ))
+    off = (
+        2.0 / (2.0 * k + a + b)
+        * np.sqrt((k + a) * (k + b) / (2 * k + a + b + 1))
+        * np.where(k == 1, 1.0, np.sqrt(k * (k + a + b) / (2.0 * k + a + b - 1)))
+    )
+    x = np.linalg.eigvalsh(_tridiagonal(diag, off))
+
+    # one Newton step on the roots
+    dy = 0.5 * (n + a + b + 1) * eval_jacobi(n - 1, a + 1, b + 1, x)
+    x -= eval_jacobi(n, a, b, x) / dy
+    # fm and dy may be very large or small: normalise their logs before the product
+    fm = eval_jacobi(n - 1, a, b, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w *= mu0 / w.sum()
+    return x, w
+
+
 class _TriangleMap:
     """Schwarz-Christoffel machinery for one TriangleDomain.
 
@@ -157,8 +212,8 @@ class _TriangleMap:
         self.beta = math.atan2(sa, domain.b) / math.pi
         self.alpha = 1.0 - 2.0 * self.beta
         self.C = self.vm / euler_beta(self.alpha, self.beta)
-        xa, wa = roots_jacobi(_QUAD_ORDER, 0.0, self.alpha - 1.0)
-        xb, wb = roots_jacobi(_QUAD_ORDER, 0.0, self.beta - 1.0)
+        xa, wa = _roots_jacobi(_QUAD_ORDER, 0.0, self.alpha - 1.0)
+        xb, wb = _roots_jacobi(_QUAD_ORDER, 0.0, self.beta - 1.0)
         # rules for integral_0^1 tau^(mu-1) g(tau) dtau = sum w_j g(x_j)
         self._gja_x = (1.0 + xa) / 2.0
         self._gja_w = wa * 2.0**-self.alpha
@@ -389,11 +444,11 @@ def strip_damping(theta: float, epsilon: float, w) -> complex:
     return out if out.shape else complex(out)
 
 
-def _gauss_vs_strip_density(theta: float, y_cut: float, n: int):
-    """Gauss nodes and weights for the weight sin(pi theta)/(2(cosh(pi y)+cos(pi theta)))
-    on [-y_cut, y_cut], by discretized Stieltjes recurrence and Golub-Welsch."""
-    from scipy.linalg import eigh_tridiagonal
-
+def _strip_recurrence(theta: float, y_cut: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence coefficients of the first n orthonormal polynomials for the weight
+    sin(pi theta)/(2(cosh(pi y)+cos(pi theta))) on [-y_cut, y_cut], by discretized
+    Stieltjes: the Jacobi matrix's diagonal a, and b with the total mass in b[0]
+    and the squared off-diagonal in b[1:]."""
     panels = 48
     order = 24
     xg, wg = leggauss(order)
@@ -418,7 +473,17 @@ def _gauss_vs_strip_density(theta: float, y_cut: float, n: int):
         if b[k + 1] <= 0:
             raise ConvergenceError("Stieltjes recurrence lost positivity")
         p_prev, p_cur = p_cur, tilde / math.sqrt(b[k + 1])
-    vals, vecs = eigh_tridiagonal(a, np.sqrt(b[1:]))
+    return a, b
+
+
+def _gauss_vs_strip_density(theta: float, y_cut: float, n: int):
+    """Gauss nodes and weights for the strip density on [-y_cut, y_cut] by Golub-Welsch.
+
+    Dense ``np.linalg.eigh`` on the Jacobi matrix gives the same bits as
+    ``scipy.linalg.eigh_tridiagonal`` at the sizes this module uses.
+    """
+    a, b = _strip_recurrence(theta, y_cut, n)
+    vals, vecs = np.linalg.eigh(_tridiagonal(a, np.sqrt(b[1:])))
     return vals, b[0] * vecs[0, :] ** 2
 
 

@@ -17,10 +17,15 @@ them by the fast transform instead of the dense entries.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .errors import CostGuardError, DomainError, ShapeError, _check_whole
-from .spaces import FiniteProbabilitySpace, FunctionVector, OperatorMatrix, hadamard_transform
+from .spaces import (
+    FiniteProbabilitySpace,
+    FunctionVector,
+    OperatorMatrix,
+    _sylvester,
+    hadamard_transform,
+)
 
 __all__ = [
     "CubeNoiseSemigroup",
@@ -129,7 +134,7 @@ class CubeNoiseSemigroup(DiagonalMultiplierSemigroup):
         self.n = _check_cube_size(n)
         self.space = FiniteProbabilitySpace.uniform(2**self.n)
         self.spectrum = subset_sizes(self.n)
-        self._basis = hadamard(2**self.n, dtype=float)
+        self._basis = _sylvester(2**self.n)
         self._basis_inv = self._basis / self.space.size
         self.condition_number = 1.0
         self._walsh_basis = True

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .errors import DomainError, InvalidExponentError, ShapeError, _check_whole
 
@@ -155,11 +154,19 @@ def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(A.entries @ B.entries, B.domain, A.codomain)
 
 
+def _sylvester(size: int) -> np.ndarray:
+    """The Sylvester Hadamard matrix of a power-of-2 size: entry (i, j) is
+    (-1)^popcount(i & j), the Walsh character of the subset i at the sign
+    pattern j."""
+    i = np.arange(size)
+    return np.where(np.bitwise_count(i[:, None] & i) & 1, -1.0, 1.0)
+
+
 @lru_cache(maxsize=None)
 def _hadamard_factors(size: int) -> tuple[np.ndarray, np.ndarray]:
     # Sylvester: H_(2^n) = H_2 (x) ... (x) H_2 = H_a (x) H_b for any a * b = 2^n
     a = 1 << (size.bit_length() // 2)
-    factors = hadamard(a, dtype=float), hadamard(size // a, dtype=float)
+    factors = _sylvester(a), _sylvester(size // a)
     for H in factors:
         H.flags.writeable = False  # every caller shares the cached pair
     return factors

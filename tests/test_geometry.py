@@ -14,6 +14,14 @@ from semisplit import (
     strip_to_disk,
 )
 from semisplit.errors import DomainError
+from semisplit.geometry import (
+    _QUAD_ORDER,
+    _V1_WINDOW_HALF_WIDTH,
+    _gauss_vs_strip_density,
+    _roots_jacobi,
+    _strip_recurrence,
+    _TriangleMap,
+)
 from triangle_reference import (
     InverseTriangleMap,
     _triangle_map,
@@ -460,3 +468,59 @@ def test_edge_distance_matches_per_point_loop(domain):
         else:
             # a vertex lies on two edges; rounding may pick either
             assert ref[e] - ref_d <= tol
+
+
+# scipy is the reference for the Gauss rules, as it is for the Nelder-Mead
+# port: the in-repo rules must give its bits, not just values near them
+
+
+def _assert_same_jacobi_rule(n, a, b):
+    from scipy.special import roots_jacobi
+
+    x, w = _roots_jacobi(n, a, b)
+    x_ref, w_ref = roots_jacobi(n, a, b)
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref), (n, a, b)
+
+
+def test_jacobi_port_matches_scipy_at_the_default_exponents(default_domain):
+    m = _TriangleMap(default_domain)
+    for expo in (m.alpha - 1.0, m.beta - 1.0):
+        _assert_same_jacobi_rule(_QUAD_ORDER, 0.0, expo)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_jacobi_port_matches_scipy_across_exponents(n):
+    for b in np.linspace(-0.95, -0.05, 10):
+        _assert_same_jacobi_rule(n, 0.0, float(b))
+
+
+@pytest.mark.parametrize(
+    "n, a, b",
+    [
+        (0, 0.0, -0.5),
+        (2.5, 0.0, -0.5),
+        (8, 0.0, -1.0),
+        (8, -1.5, 0.5),
+        (8, 0.0, math.nan),
+        (8, 0.0, 0.0),
+        (8, 0.5, 0.5),
+        (8, 600.0, 500.0),
+    ],
+    ids=["order-0", "fractional-order", "b-at-minus-1", "a-below-minus-1", "b-nan",
+         "legendre", "gegenbauer", "sum-over-1000"],
+)
+def test_jacobi_port_rejects_what_it_does_not_port(n, a, b):
+    with pytest.raises(DomainError):
+        _roots_jacobi(n, a, b)
+
+
+@pytest.mark.parametrize("n", [8, 64, 96, 128, 184])
+def test_strip_rule_matches_eigh_tridiagonal(default_measure, n):
+    from scipy.linalg import eigh_tridiagonal
+
+    theta = default_measure.theta
+    a, b = _strip_recurrence(theta, _V1_WINDOW_HALF_WIDTH, n)
+    vals, vecs = eigh_tridiagonal(a, np.sqrt(b[1:]))
+    nodes, weights = _gauss_vs_strip_density(theta, _V1_WINDOW_HALF_WIDTH, n)
+    assert np.array_equal(nodes, vals)
+    assert np.array_equal(weights, b[0] * vecs[0, :] ** 2)

@@ -84,12 +84,22 @@ def test_perfbench_limits_match_the_library():
     assert workloads.PROJECTION_RESIDUAL_LIMIT == semisplit.subspaces.PROJECTION_RESIDUAL_LIMIT
 
 
-def _loads_scipy_optimize(code: str) -> bool:
-    """Run code in a fresh interpreter on this checkout's src/; say whether
-    scipy.optimize is then loaded."""
+# no code in src/ uses these: the corollary's Nelder-Mead search is
+# subspaces._nelder_mead (scipy.optimize loads about 240 modules), and the
+# Sylvester matrix and the Gauss rules come from numpy (importing scipy.linalg
+# costs about 6 MB of peak memory and 0.04 s); both stay test-side references
+UNUSED_SCIPY = ("scipy.optimize", "scipy.linalg")
+
+
+def _loads(code: str, prefix: str) -> bool:
+    """Run code in a fresh interpreter on this checkout's src/; say whether a
+    module named prefix, or one below it, is then loaded."""
     src = str(Path(semisplit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code += "\nimport sys; print('scipy.optimize' in sys.modules)"
+    code += (
+        f"\nimport sys; print(any(m == {prefix!r} or m.startswith({prefix + '.'!r})"
+        " for m in sys.modules))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -98,19 +108,34 @@ def _loads_scipy_optimize(code: str) -> bool:
     return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
 
 
-def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize loads about 240 modules and no code in src/ uses it:
-    # the corollary's Nelder-Mead search is subspaces._nelder_mead
-    assert _loads_scipy_optimize("import semisplit, semisplit.cli") is False
+@pytest.mark.parametrize("prefix", UNUSED_SCIPY)
+def test_import_does_not_load_unused_scipy(prefix):
+    assert _loads("import semisplit, semisplit.cli", prefix) is False
 
 
-def test_corollary_does_not_load_scipy_optimize(tmp_path):
+@pytest.mark.parametrize("prefix", UNUSED_SCIPY)
+def test_corollary_does_not_load_unused_scipy(tmp_path, prefix):
     code = f"import semisplit.cli; semisplit.cli.main(['corollary', '--out', {str(tmp_path)!r}])"
-    assert _loads_scipy_optimize(code) is False
+    assert _loads(code, prefix) is False
 
 
-def test_src_does_not_name_scipy_optimize():
-    # scipy stays a test-side reference for the search, never a src/ import
+def test_default_commands_do_not_load_scipy_linalg(tmp_path):
+    # every measure build and cube basis of a default split, dimsweep,
+    # corollary and checks, in one process
+    runs = [
+        ["split", "--set", "n=2"],
+        ["dimsweep", "--set", "n_range=2..3"],
+        ["corollary", "--set", "n_range=2..3"],
+        ["checks"],
+    ]
+    code = "import semisplit.cli\n" + "".join(
+        f"semisplit.cli.main({args + ['--out', str(tmp_path / args[0])]!r})\n" for args in runs
+    )
+    assert _loads(code, "scipy.linalg") is False
+
+
+def test_src_does_not_name_unused_scipy():
+    # scipy.special is the one scipy module src/ imports
     src = Path(semisplit.__file__).resolve().parent
     named = []
     for path in sorted(src.glob("*.py")):
@@ -122,7 +147,7 @@ def test_src_does_not_name_scipy_optimize():
             else:
                 continue
             named += [f"{path.name}: {m}" for m in modules
-                      if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+                      if any(m == p or m.startswith(p + ".") for p in UNUSED_SCIPY)]
     assert named == []
 
 

@@ -15,6 +15,7 @@ from semisplit import (
     lp_norm,
 )
 from semisplit.errors import DomainError, InvalidExponentError, ShapeError
+from semisplit.spaces import _sylvester
 
 
 def test_space_validation():
@@ -169,3 +170,12 @@ def test_compose_shape_mismatch():
     B = OperatorMatrix.identity(FiniteProbabilitySpace.uniform(3))
     with pytest.raises(ShapeError):
         compose(A, B)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_sylvester_matrix_matches_scipy_hadamard(k):
+    from scipy.linalg import hadamard
+
+    H = _sylvester(2**k)
+    assert H.dtype == np.float64
+    assert np.array_equal(H, hadamard(2**k, dtype=float))
