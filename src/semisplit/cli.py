@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import DomainError, _check_whole
 from .geometry import (
@@ -283,7 +284,7 @@ def run_corollary(cfg: ExperimentConfig) -> int:
 
 def run_checks(cfg: ExperimentConfig) -> int:
     """Run the cross-module invariant suite; one line per check."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     results: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = ""):

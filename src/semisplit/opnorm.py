@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import (
     ConvergenceError,
@@ -322,7 +323,7 @@ def _ascent(M, mult, win, wout, p, q, restarts, seed, lead):
     ind_ratios = _colnorms(M, q, wout) / win ** (1.0 / p)
     best_ind = np.argmax(ind_ratios, axis=1)
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     cols = [np.ones((L, d, 1), dtype=complex)]
     e = np.zeros((L, d, 1), dtype=complex)
     e[rows, best_ind, 0] = 1.0
@@ -472,7 +473,7 @@ def _oracle_normals(d: int, seed: int):
     """
     half = _ORACLE_RANDOM_DIRECTIONS // 2
     shape = (_ORACLE_CANDIDATES, len(_POLISH_SIGMAS), _POLISH_REPEATS, 2, d, _POLISH_TRIALS)
-    z = np.random.default_rng(seed).standard_normal(3 * d * half + math.prod(shape))
+    z = default_rng(seed).standard_normal(3 * d * half + math.prod(shape))
     return (
         z[: d * half].reshape(d, half),
         z[d * half : 3 * d * half].reshape(2 * d, half),

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import ConditioningError, ConvergenceError, _check_whole
 from .opnorm import DEFAULT_RESTARTS, _check_exponent, _check_restarts, opnorm_lower
@@ -198,7 +199,7 @@ def _ratio_extremum(T: OperatorMatrix, X: Subspace, p: float, maximize: bool,
             )
         return r
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     starts = [np.eye(2 * k)[j] for j in range(k)]
     starts += [rng.standard_normal(2 * k) for _ in range(restarts)]
     # fatol is absolute, so a ratio far from 1 is brought to [1/2, 1) by an

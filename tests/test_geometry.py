@@ -8,6 +8,7 @@ from semisplit import (
     TriangleDomain,
     brownian_exit_theta,
     disk_to_strip,
+    geometry,
     harmonic_measure,
     node_table,
     strip_damping,
@@ -17,7 +18,11 @@ from semisplit.errors import DomainError
 from semisplit.geometry import (
     _QUAD_ORDER,
     _V1_WINDOW_HALF_WIDTH,
+    _beta,
+    _gamma,
     _gauss_vs_strip_density,
+    _jacobi,
+    _rgamma,
     _roots_jacobi,
     _strip_recurrence,
     _TriangleMap,
@@ -505,13 +510,91 @@ def test_jacobi_port_matches_scipy_across_exponents(n):
         (8, 0.0, 0.0),
         (8, 0.5, 0.5),
         (8, 600.0, 500.0),
+        (8, 20.0, 11.5),
+        (20, 0.5, -0.5),
+        (21, 20.0, -0.5),
+        (22, 19.0, -0.5),
     ],
     ids=["order-0", "fractional-order", "b-at-minus-1", "a-below-minus-1", "b-nan",
-         "legendre", "gegenbauer", "sum-over-1000"],
+         "legendre", "gegenbauer", "sum-over-1000", "sum-over-31",
+         "fractional-a-order-20", "binomial-a-20", "binomial-a-plus-1-20"],
 )
 def test_jacobi_port_rejects_what_it_does_not_port(n, a, b):
     with pytest.raises(DomainError):
         _roots_jacobi(n, a, b)
+
+
+@pytest.mark.parametrize(
+    "n, a, b", [(19, 0.5, -0.5), (20, 19.0, -0.5), (64, 18.0, 12.5), (8, 16.0, 15.0)],
+    ids=["fractional-a-order-19", "binomial-k-19", "two-binomials-below-20", "sum-31"],
+)
+def test_jacobi_port_matches_scipy_at_the_edge_of_what_it_ports(n, a, b):
+    _assert_same_jacobi_rule(n, a, b)
+
+
+# the special functions the rules are built from: every argument _roots_jacobi
+# and _TriangleMap can pass is a (sum of) Gamma argument(s) in (0, 33]
+def _gamma_arguments(seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate((
+        rng.uniform(0.0, 33.0, 2000),
+        rng.uniform(0.0, 4.0, 1000),
+        rng.uniform(0.0, 2e-9, 200),
+        np.arange(1.0, 34.0),
+        [1e-300, 1e-9, 2.0, 3.0, 4.0, np.nextafter(4.0, 5.0), 33.0],
+    ))
+
+
+def test_gamma_port_matches_scipy():
+    from scipy.special import gamma
+
+    xs = _gamma_arguments(0)
+    assert [float(x) for x in xs if _gamma(float(x)) != gamma(x)] == []
+
+
+def test_rgamma_port_matches_scipy():
+    from scipy.special import rgamma
+
+    xs = _gamma_arguments(1)
+    assert [float(x) for x in xs if _rgamma(float(x)) != rgamma(x)] == []
+
+
+def test_beta_port_matches_scipy():
+    from scipy.special import beta
+
+    rng = np.random.default_rng(2)
+    slant = rng.uniform(0.0, 0.5, 500)
+    pairs = np.concatenate((
+        rng.uniform(0.0, 16.5, (2000, 2)),
+        rng.uniform(0.0, 2.0, (2000, 2)),
+        # mu0's B(1, b + 1) at a = 0, and the map's B(alpha, beta) = B(1 - 2 beta, beta)
+        np.column_stack((np.ones(500), rng.uniform(0.0, 1.0, 500))),
+        np.column_stack((1.0 - 2.0 * slant, slant)),
+        rng.uniform(0.0, 2e-9, (100, 2)),
+    ))
+    mismatched = [(a, b) for a, b in pairs.tolist() if _beta(a, b) != beta(a, b)]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 64])
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_jacobi_recurrence_matches_scipy(n, a):
+    from scipy.special import eval_jacobi
+
+    x = np.concatenate((np.random.default_rng(n).uniform(-1.0, 1.0, 256), [-1.0, 0.0, 1.0]))
+    for b in np.concatenate((np.linspace(-0.95, -0.05, 10), [0.0, a + 1.0])):
+        assert np.array_equal(_jacobi(n, a, float(b), x), eval_jacobi(int(n), a, b, x)), b
+
+
+def test_triangle_map_constants_match_scipy_beta(default_domain, monkeypatch):
+    from scipy.special import beta, eval_jacobi
+
+    ported = _TriangleMap(default_domain)
+    monkeypatch.setattr(geometry, "_beta", beta)
+    monkeypatch.setattr(geometry, "_jacobi", eval_jacobi)
+    reference = _TriangleMap(default_domain)
+    assert ported.C == reference.C == reference.vm / beta(reference.alpha, reference.beta)
+    assert ported.theta == reference.theta
 
 
 @pytest.mark.parametrize("n", [8, 64, 96, 128, 184])

@@ -84,28 +84,37 @@ def test_perfbench_limits_match_the_library():
     assert workloads.PROJECTION_RESIDUAL_LIMIT == semisplit.subspaces.PROJECTION_RESIDUAL_LIMIT
 
 
-# no code in src/ uses these: the corollary's Nelder-Mead search is
-# subspaces._nelder_mead (scipy.optimize loads about 240 modules), and the
-# Sylvester matrix and the Gauss rules come from numpy (importing scipy.linalg
-# costs about 6 MB of peak memory and 0.04 s); both stay test-side references
-UNUSED_SCIPY = ("scipy.optimize", "scipy.linalg")
+# no code in src/ uses scipy: the corollary's Nelder-Mead search is
+# subspaces._nelder_mead, the Sylvester matrix and the Gauss rules come from
+# numpy, and Gamma, 1/Gamma, B and the Jacobi polynomials are ports in
+# geometry (scipy.special alone loads about 280 modules, among them
+# numpy.testing and numpy.f2py); scipy stays a test-side reference. The two
+# submodules the library once used are named on their own, so a failure says
+# which came back; "scipy" covers every other one
+UNUSED_SCIPY = ("scipy.optimize", "scipy.linalg", "scipy")
 
 
-def _loads(code: str, prefix: str) -> bool:
-    """Run code in a fresh interpreter on this checkout's src/; say whether a
-    module named prefix, or one below it, is then loaded."""
+def _fresh(code: str) -> str:
+    """Run code in a fresh interpreter on this checkout's src/; return the last
+    line it prints."""
     src = str(Path(semisplit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code += (
-        f"\nimport sys; print(any(m == {prefix!r} or m.startswith({prefix + '.'!r})"
-        " for m in sys.modules))"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+    return proc.stdout.splitlines()[-1]
+
+
+def _loads(code: str, prefix: str) -> bool:
+    """Whether code, run by ``_fresh``, leaves a module named prefix, or one
+    below it, loaded."""
+    code += (
+        f"\nimport sys; print(any(m == {prefix!r} or m.startswith({prefix + '.'!r})"
+        " for m in sys.modules))"
+    )
+    return {"True": True, "False": False}[_fresh(code)]
 
 
 @pytest.mark.parametrize("prefix", UNUSED_SCIPY)
@@ -119,7 +128,7 @@ def test_corollary_does_not_load_unused_scipy(tmp_path, prefix):
     assert _loads(code, prefix) is False
 
 
-def test_default_commands_do_not_load_scipy_linalg(tmp_path):
+def test_default_commands_do_not_load_scipy(tmp_path):
     # every measure build and cube basis of a default split, dimsweep,
     # corollary and checks, in one process
     runs = [
@@ -131,11 +140,22 @@ def test_default_commands_do_not_load_scipy_linalg(tmp_path):
     code = "import semisplit.cli\n" + "".join(
         f"semisplit.cli.main({args + ['--out', str(tmp_path / args[0])]!r})\n" for args in runs
     )
-    assert _loads(code, "scipy.linalg") is False
+    assert _loads(code, "scipy") is False
+
+
+def test_split_loads_no_module_outside_the_standard_library(tmp_path):
+    # a module loaded on first use inside a command, as numpy loads
+    # numpy.random, costs its import inside the benchmark's timed region
+    code = (
+        "import sys\nimport semisplit, semisplit.cli\nbefore = set(sys.modules)\n"
+        f"semisplit.cli.main(['split', '--set', 'n=2', '--out', {str(tmp_path)!r}])\n"
+        "print(sorted(m for m in set(sys.modules) - before"
+        " if m.partition('.')[0] not in sys.stdlib_module_names))"
+    )
+    assert _fresh(code) == "[]"
 
 
 def test_src_does_not_name_unused_scipy():
-    # scipy.special is the one scipy module src/ imports
     src = Path(semisplit.__file__).resolve().parent
     named = []
     for path in sorted(src.glob("*.py")):
