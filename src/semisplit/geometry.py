@@ -141,202 +141,45 @@ class TriangleDomain:
         return d.min(axis=0), d.argmin(axis=0)
 
 
-def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """The dense symmetric tridiagonal matrix with this diagonal and off-diagonal."""
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float):
+    """Gauss nodes and weights from a Jacobi matrix (Golub and Welsch, Math. Comp. 23, 1969).
 
-
-# The special functions below are ports of scipy 1.17.1's: the cephes Gamma,
-# rgamma and beta behind scipy.special's gamma, rgamma and beta (Cephes Math
-# Library, Copyright 1984-2000 Stephen L. Moshier, which scipy distributes
-# under the BSD-3-Clause licence with the author's permission), and
-# eval_jacobi_l and binom from scipy/special/orthogonal_eval.pxd
-# (BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and 2003-2024 SciPy
-# Developers).  Each keeps scipy's operation order, so on the branches ported
-# here it returns scipy's bits.
-
-# cephes Gamma: rational approximation P/Q on [2, 3)
-_GAMMA_P = (
-    1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
-    4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
-    9.99999999999999996796e-1,
-)
-_GAMMA_Q = (
-    -2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
-    1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
-    7.14304917030273074085e-2, 1.00000000000000000320e0,
-)
-# cephes rgamma: Chebyshev coefficients of 1/(x Gamma(x)) - 1 on (0, 1)
-_RGAMMA_R = (
-    3.13173458231230000000e-17, -6.70718606477908000000e-16, 2.20039078172259550000e-15,
-    2.47691630348254132600e-13, -6.60074100411295197440e-12, 5.13850186324226978840e-11,
-    1.08965386454418662084e-9, -3.33964630686836942556e-8, 2.68975996440595483619e-7,
-    2.96001177518801696639e-6, -8.04814124978471142852e-5, 4.16609138709688864714e-4,
-    5.06579864028608725080e-3, -6.41925436109158228810e-2, -4.98558728684003594785e-3,
-    1.27546015610523951063e-1,
-)
-# above this cephes Gamma leaves its rational branch for Stirling's formula
-_GAMMA_RATIONAL_MAX = 33.0
-
-
-def _polevl(x: float, coef: tuple[float, ...]) -> float:
-    """Horner's rule, highest coefficient first (cephes ``polevl``)."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _gamma(x: float) -> float:
-    """Gamma(x) for 0 < x <= 33, cephes ``Gamma``'s rational branch."""
-    z = 1.0
-    while x >= 3.0:
-        x -= 1.0
-        z *= x
-    while x < 2.0:
-        if x < 1e-9:
-            return z / ((1.0 + 0.5772156649015329 * x) * x)
-        z /= x
-        x += 1.0
-    if x == 2.0:
-        return z
-    x -= 2.0
-    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
-
-
-def _rgamma(x: float) -> float:
-    """1/Gamma(x) for 0 < x <= 33, cephes ``rgamma``: 1/Gamma above 4, else a
-    Chebyshev series after downward recurrence onto (0, 1]."""
-    if x > 4.0:
-        return 1.0 / _gamma(x)
-    z = 1.0
-    w = x
-    while w > 1.0:
-        w -= 1.0
-        z *= w
-    if w == 1.0:
-        return 1.0 / z
-    # cephes chbevl at 4w - 2
-    u = 4.0 * w - 2.0
-    b0, b1, b2 = _RGAMMA_R[0], 0.0, 0.0
-    for c in _RGAMMA_R[1:]:
-        b2, b1 = b1, b0
-        b0 = u * b1 - b2 + c
-    return w * (1.0 + 0.5 * (b0 - b2)) / z
+    The nodes are the eigenvalues of the symmetric tridiagonal matrix with this
+    diagonal and off-diagonal; each weight is the total mass mu0 times the
+    squared first component of the node's normalised eigenvector.
+    """
+    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return vals, mu0 * vecs[0, :] ** 2
 
 
 def _beta(a: float, b: float) -> float:
-    """Euler's B(a, b) for a, b > 0 with a + b <= 33, as scipy's cephes ``beta``."""
-    if abs(a) < abs(b):
-        a, b = b, a
-    ry = _rgamma(a + b)
-    ga = _gamma(a)
-    gb = _gamma(b)
-    # scipy multiplies first by the Gamma farther from 1/ry
-    if abs(abs(ga) - 1.0 / ry) > abs(abs(gb) - 1.0 / ry):
-        return gb * ry * ga
-    return ga * ry * gb
-
-
-def _binom(n: float, k: int) -> float:
-    """Binomial coefficient C(n, k) for a whole k, by scipy's product formula.
-
-    scipy takes this branch when k, after the symmetry k -> n - k for a whole
-    n, is below 20; its other branches go through Gamma functions outside the
-    range ported here, so DomainError.
-    """
-    kx = k
-    if n == math.floor(n) and kx > n / 2 and n > 0:
-        kx = n - kx
-    if not 0 <= kx < 20:
-        raise DomainError(
-            f"binomial C({n!r}, {k!r}) is outside the ported product branch (k < 20 "
-            f"after symmetry)"
-        )
-    num = den = 1.0
-    for i in range(1, 1 + int(kx)):
-        num *= i + n - kx
-        den *= i
-        if abs(num) > 1e50:
-            num /= den
-            den = 1.0
-    return num / den
-
-
-def _jacobi(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """The Jacobi polynomial P_n^(a, b) at the points x, as scipy's
-    ``eval_jacobi`` for a whole n: the forward recurrence on the increment d
-    of the scaled polynomial p, times C(n + a, n)."""
-    if n == 0:
-        return np.ones_like(x)
-    if n == 1:
-        return 0.5 * (2 * (a + 1) + (a + b + 2) * (x - 1))
-    xm1 = x - 1
-    d = (a + b + 2) * xm1 / (2 * (a + 1))
-    p = d + 1
-    for k in range(1, n):
-        t = 2 * k + a + b
-        d = (
-            (t * (t + 1) * (t + 2)) * xm1 * p + 2 * k * (k + b) * (t + 2) * d
-        ) / (2 * (k + a + 1) * (k + a + b + 1) * t)
-        p = d + p
-    return _binom(n + a, n) * p
+    """Euler's B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for a, b > 0, from log-Gamma."""
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def _roots_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Jacobi nodes and weights for the weight (1 - x)^a (1 + x)^b on [-1, 1].
 
-    A port of ``roots_jacobi`` and ``_gen_roots_and_weights`` from scipy 1.17.1
-    (scipy/special/_orthogonal.py; BSD-3-Clause, Copyright (c) 2001-2002
-    Enthought, Inc. and 2003-2024 SciPy Developers) for its general branch:
-    Golub-Welsch eigenvalues of the Jacobi matrix, one Newton step on the
-    roots, and weights from log-normalised polynomial values.  Where scipy
-    calls ``scipy.linalg.eigvals_banded`` on the tridiagonal band, this calls
-    ``np.linalg.eigvalsh`` on the same matrix in dense form; both hand LAPACK's
-    ``dsterf`` the same diagonal and off-diagonal.  Where scipy calls
-    ``scipy.special.beta`` and ``eval_jacobi``, this calls the ports ``_beta``
-    and ``_jacobi`` above.  So the nodes and weights are the same bits as
-    scipy's.  (At n = 1 scipy's band solver returns 0 for the 1 x 1 band, so
-    its one node, one Newton step from 0, can differ from this one by an ulp.)
-    scipy sends a = b to other rules (Legendre, Gegenbauer), so those raise
-    here.  So do a + b > 31, where B(a + 1, b + 1) leaves the rational branch
-    of Gamma ported here, and, from ``_binom``, the (n, a) where the binomial
-    C(m + alpha, m) of a Jacobi evaluation leaves its product branch: for a
-    whole a that needs min(n, a) and min(n - 1, a + 1) below 20, for any
-    other a, n below 20.
+    Golub-Welsch on the Jacobi matrix of the orthonormal Jacobi polynomials,
+    with the total mass mu0 = 2^(a+b+1) B(a+1, b+1).  The order is a whole
+    number at least 1, and both exponents exceed -1 and sum to at most 1000,
+    where 2^(a+b+1) and B(a+1, b+1) are still normal floats.
     """
     n = _check_whole(n, "Gauss-Jacobi nodes", 1)
-    if not (a > -1.0 and b > -1.0) or a == b or (a + 1.0) + (b + 1.0) > _GAMMA_RATIONAL_MAX:
+    if not (a > -1.0 and b > -1.0 and a + b <= 1000.0):
         raise DomainError(
-            f"Gauss-Jacobi exponents must be > -1, unequal and sum to at most "
-            f"{_GAMMA_RATIONAL_MAX - 2.0:g}; got {a!r} and {b!r}"
+            f"Gauss-Jacobi exponents must be > -1 and sum to at most 1000, got {a!r} and {b!r}"
         )
     mu0 = 2.0 ** (a + b + 1) * _beta(a + 1, b + 1)
     # the Jacobi matrix: diagonal entries k = 0..n-1, off-diagonal k = 1..n-1
     k = np.arange(1, n, dtype="d")
-    diag = np.concatenate((
-        [(b - a) / (2 + a + b)],
-        (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2)),
-    ))
-    off = (
-        2.0 / (2.0 * k + a + b)
-        * np.sqrt((k + a) * (k + b) / (2 * k + a + b + 1))
-        * np.where(k == 1, 1.0, np.sqrt(k * (k + a + b) / (2.0 * k + a + b - 1)))
-    )
-    x = np.linalg.eigvalsh(_tridiagonal(diag, off))
-
-    # one Newton step on the roots
-    dy = 0.5 * (n + a + b + 1) * _jacobi(n - 1, a + 1, b + 1, x)
-    x -= _jacobi(n, a, b, x) / dy
-    # fm and dy may be very large or small: normalise their logs before the product
-    fm = _jacobi(n - 1, a, b, x)
-    log_fm = np.log(np.abs(fm))
-    log_dy = np.log(np.abs(dy))
-    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    w *= mu0 / w.sum()
-    return x, w
+    s = 2.0 * k + a + b
+    diag = np.concatenate(([(b - a) / (2 + a + b)], (b * b - a * a) / (s * (s + 2))))
+    # k (k + a + b) / (s - 1) is 1 at k = 1, where it reads 0/0 when a + b = -1,
+    # so the quotient is taken only from k = 2 on
+    tail = np.divide(k * (k + a + b), s - 1, out=np.ones_like(k), where=k > 1)
+    off = 2.0 / s * np.sqrt((k + a) * (k + b) / (s + 1)) * np.sqrt(tail)
+    return _golub_welsch(diag, off, mu0)
 
 
 class _TriangleMap:
@@ -625,8 +468,7 @@ def _gauss_vs_strip_density(theta: float, y_cut: float, n: int):
     ``scipy.linalg.eigh_tridiagonal`` at the sizes this module uses.
     """
     a, b = _strip_recurrence(theta, y_cut, n)
-    vals, vecs = np.linalg.eigh(_tridiagonal(a, np.sqrt(b[1:])))
-    return vals, b[0] * vecs[0, :] ** 2
+    return _golub_welsch(a, np.sqrt(b[1:]), b[0])
 
 
 def _grading(angle_frac: float) -> int:
