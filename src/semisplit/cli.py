@@ -32,6 +32,7 @@ from .geometry import (
     node_table,
     strip_damping,
     strip_to_disk,
+    walker_gap,
 )
 from .ideals import make_gamma2, make_schatten_like, measure_compatibility, spectral_norm
 from .opnorm import (
@@ -74,7 +75,8 @@ GATES = {
     "measure_mean_value": 1e-7,  # |integral of z - t|
     "damping_v0": 1e-7,  # max ||psi| - eps| on V0
     "damping_v1_rel": 1e-6,  # max ||psi| / eps^((theta-1)/theta) - 1| on V1
-    "theta_vs_walkers_se": 3,  # |conformal theta - walker estimate| in standard errors
+    # |conformal theta - walker estimate| in standard errors under that theta
+    "theta_vs_walkers_se": 3,
 }
 
 
@@ -332,7 +334,7 @@ def run_checks(cfg: ExperimentConfig) -> int:
     est, se = brownian_exit_theta(domain, walkers=cfg.walkers, seed=cfg.seed)
     check(
         "theta-vs-brownian",
-        abs(est - hm.theta) <= GATES["theta_vs_walkers_se"] * se,
+        walker_gap(hm.theta, est, cfg.walkers) <= GATES["theta_vs_walkers_se"],
         f"conformal {hm.theta:.5f}, walkers {est:.5f} +- {se:.5f}",
     )
 

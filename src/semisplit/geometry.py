@@ -35,6 +35,7 @@ __all__ = [
     "disk_to_strip",
     "strip_damping",
     "brownian_exit_theta",
+    "walker_gap",
     "node_table",
 ]
 
@@ -720,6 +721,16 @@ def brownian_exit_theta(
     est = float(hit_v1.mean())
     stderr = math.sqrt(max(est * (1.0 - est), 1e-12) / walkers)
     return est, stderr
+
+
+def walker_gap(theta: float, estimate: float, walkers: int) -> float:
+    """|estimate - theta| in binomial standard errors sqrt(theta(1 - theta)/walkers).
+
+    The error is taken under the tested ``theta``, so unlike the estimate's
+    own error it does not shrink with a low draw.
+    """
+    walkers = _check_whole(walkers, "walkers", 1)
+    return abs(estimate - theta) / math.sqrt(max(theta * (1.0 - theta), 1e-12) / walkers)
 
 
 def node_table(hm: HarmonicMeasure) -> str:

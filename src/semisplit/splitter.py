@@ -147,15 +147,17 @@ def _split_engine(
     epsilons: list[float],
     node_values: Sequence[float],
     measure: Callable[[list[OperatorMatrix], bool], list[float]],
+    reconstruction: bool = True,
 ) -> list[SplitCertificate]:
     """One certificate per validated eps.
 
     ``measure(ops, vertical)`` lists the norms of ``ops``: the vertical part's
     norm if ``vertical``, else the slanted part's.  It measures every eps's
-    T0 at once, then every T1, then each residual alone.  C0 is the largest of
-    ``node_values`` over the slanted nodes, C1 the same over the vertical
-    nodes.  T0, T1 and the residual are assembled in the spectral domain:
-    the parts' multipliers are the damped quadrature sums of
+    T0 at once, then every T1, then, if ``reconstruction``, each residual
+    alone; without it no residual is formed and ``recon_error_pp`` is NaN.
+    C0 is the largest of ``node_values`` over the slanted nodes, C1 the same
+    over the vertical nodes.  T0, T1 and the residual are assembled in the
+    spectral domain: the parts' multipliers are the damped quadrature sums of
     exp(-z_i * spectrum), and the residual's is exp(-t * spectrum) minus
     the whole sum, so no node operator and no T(t) is formed.
     """
@@ -165,19 +167,21 @@ def _split_engine(
     c0, c0_node = _largest_node(values, slanted)
     c1, c1_node = _largest_node(values, vertical)
     node_mults = np.exp(-np.outer(hm.z, semigroup.spectrum))
-    exact_mult = np.exp(-hm.domain.t * semigroup.spectrum)
     exponent = (theta - 1.0) / theta
-    T0s, T1s, residual_mults = [], [], []
-    for epsilon in epsilons:
-        coeff = hm.weights * strip_damping(theta, epsilon, hm.w_strip)
-        T0s.append(semigroup.operator((coeff[slanted] / (1.0 - theta)) @ node_mults[slanted]))
-        T1s.append(semigroup.operator((coeff[vertical] / theta) @ node_mults[vertical]))
-        residual_mults.append(exact_mult - coeff @ node_mults)
+    coeffs = [hm.weights * strip_damping(theta, epsilon, hm.w_strip) for epsilon in epsilons]
+    T0s = [semigroup.operator((c[slanted] / (1.0 - theta)) @ node_mults[slanted]) for c in coeffs]
+    T1s = [semigroup.operator((c[vertical] / theta) @ node_mults[vertical]) for c in coeffs]
+    norms_T0, norms_T1 = measure(T0s, False), measure(T1s, True)
+    if reconstruction:
+        exact_mult = np.exp(-hm.domain.t * semigroup.spectrum)
+        recons = [measure([semigroup.operator(exact_mult - c @ node_mults)], False)[0]
+                  for c in coeffs]
+    else:
+        recons = [math.nan] * len(epsilons)
     certs = []
-    for epsilon, T0, T1, residual, norm_T0, norm_T1 in zip(
-        epsilons, T0s, T1s, residual_mults, measure(T0s, False), measure(T1s, True)
+    for epsilon, T0, T1, norm_T0, norm_T1, recon in zip(
+        epsilons, T0s, T1s, norms_T0, norms_T1, recons
     ):
-        [recon] = measure([semigroup.operator(residual)], False)
         certs.append(SplitCertificate(
             epsilon=epsilon,
             theta=float(theta),
@@ -206,21 +210,24 @@ def split(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     oracle_check: bool = True,
+    *,
+    reconstruction: bool = True,
 ) -> SplitCertificate | list[SplitCertificate]:
     """Build T0, T1 for each damping level and certify both norm bounds.
 
     One float ``epsilon`` gives one certificate, a sequence a list of them;
     C0, C1 and the node multipliers are computed once per call.  The
     reconstruction residual is measured in the p -> p norm, as the operator of
-    its quadrature-residual multiplier.  The slanted part is measured
-    in the p -> p norm, the vertical part in the p -> 2 norm.  A node norm is
-    that of the semigroup's tensor ``factor`` raised to its ``power``: for
-    p <= q the p -> q norm is multiplicative over tensor products (Beckner),
-    and the tensor power of the factor's witness attains the product, so the
-    value stays a certified lower bound.  The factor norms come from
-    :func:`node_constants`, so splits that share them measure them once.  On
-    spaces small enough for the dense oracle, the norms of the assembled
-    operators are cross-checked against it.
+    its quadrature-residual multiplier; with ``reconstruction=False`` it is
+    neither formed nor measured, and ``recon_error_pp`` is NaN.  The slanted
+    part is measured in the p -> p norm, the vertical part in the p -> 2
+    norm.  A node norm is that of the semigroup's tensor ``factor`` raised
+    to its ``power``: for p <= q the p -> q norm is multiplicative over
+    tensor products (Beckner), and the tensor power of the factor's witness
+    attains the product, so the value stays a certified lower bound.  The
+    factor norms come from :func:`node_constants`, so splits that share them
+    measure them once.  On spaces small enough for the dense oracle, the
+    norms of the assembled operators are cross-checked against it.
     """
     _check_p(p)
     epsilons = _validated_epsilons(domain, hm, epsilon)
@@ -235,7 +242,8 @@ def split(
         return [est.value for est in opnorm_lower_many(ops, p, q, restarts, seed)]
 
     certs = _split_engine(
-        semigroup, hm, epsilons, [est.value ** semigroup.power for est in nodes], measure)
+        semigroup, hm, epsilons, [est.value ** semigroup.power for est in nodes], measure,
+        reconstruction)
     if oracle_check and semigroup.space.size <= ORACLE_DIM_LIMIT:
         # both routes certify lower bounds, so only an oracle value above the
         # ascent estimate signals a missed witness
@@ -315,7 +323,8 @@ def dimension_sweep(
     The geometry (hence theta) does not depend on the space; the interesting
     columns are the measured constants, which must stay dimension-stable.
     Every cube is a tensor power of the one-bit cube, so the splits share
-    one set of one-bit node norms (see :func:`node_constants`).
+    one set of one-bit node norms (see :func:`node_constants`).  A row has
+    no reconstruction column, so the splits form and measure no residual.
     """
     if np.ndim(epsilon) != 0:
         raise DomainError(f"a sweep runs at one damping level, got {epsilon!r}")
@@ -326,7 +335,7 @@ def dimension_sweep(
     for n in n_range:
         cert = split(
             CubeNoiseSemigroup(n), domain, hm, p, epsilon,
-            restarts=restarts, seed=seed, oracle_check=False,
+            restarts=restarts, seed=seed, oracle_check=False, reconstruction=False,
         )
         rows.append(
             SweepRow(

@@ -14,6 +14,7 @@ from semisplit import (
     node_table,
     strip_damping,
     strip_to_disk,
+    walker_gap,
 )
 from semisplit.errors import DomainError
 from semisplit.geometry import (
@@ -166,18 +167,47 @@ def test_measure_is_memoised_per_domain_and_count(default_domain, default_measur
 
 
 def test_theta_against_brownian_oracle_default(default_domain, default_measure):
-    est, se = brownian_exit_theta(default_domain, walkers=100_000, seed=0)
-    assert abs(est - default_measure.theta) <= 3 * se
+    est, _ = brownian_exit_theta(default_domain, walkers=100_000, seed=0)
+    assert walker_gap(default_measure.theta, est, 100_000) <= 3
+
+
+def _flat_instance_walkers(seed):
+    """Vertical-edge hits of 1e5 walkers on a flat triangle, and their gap
+    from its conformal theta in standard errors."""
+    # t sits deep in the apex wedge: theta is tiny but the conformal and
+    # stochastic routes still agree; the measure needs extra nodes because
+    # the interior point sits conformally on top of the apex
+    V = TriangleDomain(0.3466, 0.3466, 0.1733, 0.1733)
+    hm = harmonic_measure(V, 256)
+    est, _ = brownian_exit_theta(V, walkers=100_000, seed=seed)
+    return round(est * 100_000), walker_gap(hm.theta, est, 100_000)
 
 
 def test_theta_against_brownian_oracle_flat_instance():
-    # flat triangle with t deep in the apex wedge: theta is tiny but the
-    # conformal and stochastic routes still agree; the measure needs extra
-    # nodes because the interior point sits conformally on top of the apex
-    V = TriangleDomain(0.3466, 0.3466, 0.1733, 0.1733)
-    hm = harmonic_measure(V, 256)
-    est, se = brownian_exit_theta(V, walkers=100_000, seed=0)
-    assert abs(est - hm.theta) <= 3 * se
+    hits, gap = _flat_instance_walkers(0)
+    assert hits == 27
+    assert gap <= 3
+
+
+def test_theta_against_brownian_oracle_flat_instance_low_draw():
+    # theta * walkers is 16.6, so the hit count is nearly Poisson: seed 17's
+    # 7 hits are 3.6 of their own standard errors low, but 2.35 of theta's
+    hits, gap = _flat_instance_walkers(17)
+    assert hits == 7
+    assert gap <= 3
+
+
+def test_walker_gap_is_measured_in_the_tested_thetas_error():
+    # 7 and 27 hits of 1e5 against theta = 1.6577e-4: both gaps are measured
+    # in theta's error, whichever side of theta the draw falls
+    theta = 1.6577e-4
+    se = math.sqrt(theta * (1 - theta) / 100_000)
+    assert walker_gap(theta, 7e-5, 100_000) == pytest.approx((theta - 7e-5) / se, rel=1e-15)
+    assert walker_gap(theta, 27e-5, 100_000) == pytest.approx((27e-5 - theta) / se, rel=1e-15)
+    assert walker_gap(theta, theta, 100_000) == 0.0
+    for walkers in (0, 2.5):
+        with pytest.raises(DomainError):
+            walker_gap(theta, 7e-5, walkers)
 
 
 @pytest.mark.parametrize("walkers", [0, -5, 2.5])

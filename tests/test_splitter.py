@@ -31,7 +31,7 @@ from semisplit import (
     strip_damping,
 )
 from semisplit.errors import CostGuardError, DomainError, IllConditionedSplitError
-from semisplit.opnorm import _ASCENT_MAX_ITER
+from semisplit.opnorm import _ASCENT_MAX_ITER, _WALSH_MIN_ATOMS
 from semisplit.splitter import PADDING
 
 P = 1.5
@@ -395,9 +395,56 @@ def test_dimension_sweep_measures_node_norms_once(monkeypatch, default_domain, c
     calls = _count_ascents(monkeypatch)
     dimension_sweep(default_domain, cold_measure, P, 1e-2, [1, 2, 3], restarts=4, seed=0)
     nodes = cold_measure.z.size
-    # the one-bit node norms once, then T0, T1 and the residual per cube size
-    assert len(calls) == nodes + 3 * 3
+    # the one-bit node norms once, then T0 and T1 per cube size
+    assert len(calls) == nodes + 2 * 3
     assert calls[:nodes] == [(2, 2)] * nodes
+
+
+def test_dimension_sweep_measures_no_reconstruction_residual(
+    monkeypatch, default_domain, cold_measure, cube3
+):
+    import semisplit.splitter
+
+    ascents, builds = [], []
+
+    def one(A, p, q, *args, **kwargs):
+        ascents.append((A.entries.shape[0], q))
+        return opnorm_lower(A, p, q, *args, **kwargs)
+
+    def many(ops, p, q, *args, **kwargs):
+        ops = list(ops)
+        ascents.extend((A.entries.shape[0], q) for A in ops)
+        return opnorm_lower_many(ops, p, q, *args, **kwargs)
+
+    operator = CubeNoiseSemigroup.operator
+
+    def building(self, multiplier):
+        builds.append(self.space.size)
+        return operator(self, multiplier)
+
+    hm = cold_measure
+    node_constants(CubeNoiseSemigroup(1), hm, P, restarts=8, seed=0)
+    monkeypatch.setattr(semisplit.splitter, "opnorm_lower", one)
+    monkeypatch.setattr(semisplit.splitter, "opnorm_lower_many", many)
+    monkeypatch.setattr(CubeNoiseSemigroup, "operator", building)
+    dimension_sweep(default_domain, hm, P, 1e-2, [1, 2, 3], restarts=8, seed=0)
+    # per size one p -> p ascent on T0 and one p -> 2 on T1; T0 and T1 are
+    # the only operators built, so no residual is formed
+    assert ascents == [(d, q) for d in (2, 4, 8) for q in (P, 2.0)]
+    assert builds == [2, 2, 4, 4, 8, 8]
+
+    ascents.clear()
+    builds.clear()
+    eps_set = (1e-1, 1e-2, 1e-3)
+    certs = split(cube3, default_domain, hm, P, eps_set, restarts=8, seed=0, oracle_check=False)
+    # a plain split still forms and measures one residual per eps
+    k = len(eps_set)
+    assert ascents == [(8, P)] * k + [(8, 2.0)] * k + [(8, P)] * k
+    assert builds == [8] * (3 * k)
+    assert all(math.isfinite(cert.recon_error_pp) for cert in certs)
+    cert = split(cube3, default_domain, hm, P, 1e-2, restarts=8, seed=0, oracle_check=False,
+                 reconstruction=False)
+    assert math.isnan(cert.recon_error_pp)
 
 
 @pytest.mark.parametrize(
@@ -664,14 +711,17 @@ def test_dimension_sweep_theta_constant(default_domain):
 
 
 def test_dimension_sweep_rows_are_split_fields(default_domain):
+    # n = 7 has _WALSH_MIN_ATOMS = 128 atoms, so its ascents take the Walsh path
     hm = harmonic_measure(default_domain, 32)
-    rows = dimension_sweep(default_domain, hm, P, 1e-2, [1, 2, 3], restarts=8, seed=0)
-    assert [r.n for r in rows] == [1, 2, 3]
+    rows = dimension_sweep(default_domain, hm, P, 1e-2, [1, 2, 3, 7], restarts=8, seed=0)
+    assert [r.n for r in rows] == [1, 2, 3, 7]
+    assert 2**7 == _WALSH_MIN_ATOMS
     for row in rows:
         cert = split(CubeNoiseSemigroup(row.n), default_domain, hm, P, 1e-2,
                      restarts=8, seed=0, oracle_check=False)
         assert row == (row.n, cert.theta, cert.C0_measured, cert.C1_measured,
                        cert.norm_T0_pp, cert.norm_T1_p2)
+        assert math.isfinite(cert.recon_error_pp)
 
 
 def test_dimension_sweep_cost_guard(default_domain, default_measure):
