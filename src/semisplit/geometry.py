@@ -133,13 +133,16 @@ class TriangleDomain:
         """Distance to the boundary and the index of the nearest edge, per point of a 1-d array."""
         p = np.asarray(z, dtype=complex)
         starts, ends = np.array(self.edges).T
-        dirs = ends - starts
-        lens2 = np.abs(dirs) ** 2
-        rel = p[None, :] - starts[:, None]
-        ts = np.clip((rel * np.conj(dirs[:, None])).real / lens2[:, None], 0.0, 1.0)
-        foot = starts[:, None] + ts * dirs[:, None]
+        _, foot = _edge_projection(p[None, :], starts[:, None], ends[:, None])
         d = np.abs(p[None, :] - foot)
         return d.min(axis=0), d.argmin(axis=0)
+
+
+def _edge_projection(z, start, end) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter in [0, 1] and foot of the point of segment start -> end nearest to z."""
+    direction = end - start
+    tau = np.clip(((z - start) * np.conj(direction)).real / np.abs(direction) ** 2, 0.0, 1.0)
+    return tau, start + tau * direction
 
 
 def _golub_welsch(diag: np.ndarray, off: np.ndarray, mu0: float):
@@ -379,11 +382,6 @@ class _TriangleMap:
         return self.yt / math.pi / ((1.0 - sign * self.xt * rho) ** 2 + (self.yt * rho) ** 2)
 
 
-@lru_cache(maxsize=64)
-def _triangle_map(domain: TriangleDomain) -> _TriangleMap:
-    return _TriangleMap(domain)
-
-
 def _check_theta(theta: float) -> None:
     if not (0.0 < theta < 1.0):
         raise DomainError(f"theta must be in (0, 1), got {theta}")
@@ -395,18 +393,31 @@ def strip_to_disk(theta: float, w) -> complex:
     warr = np.asarray(w, dtype=complex)
     if np.any(warr.real < -1e-9) or np.any(warr.real > 1 + 1e-9):
         raise DomainError("strip coordinate must satisfy 0 <= Re(w) <= 1")
-    e = np.exp(1j * math.pi * warr)
-    out = (e - np.exp(1j * math.pi * theta)) / (e - np.exp(-1j * math.pi * theta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(1j * math.pi * warr)
+        out = np.asarray((e - np.exp(1j * math.pi * theta)) / (e - np.exp(-1j * math.pi * theta)))
+    # below about Im w = -226, e overflows; divided by e, the map tends to 1 there
+    far = ~np.isfinite(out)
+    w_far = warr[far]
+    out[far] = ((1.0 - np.exp(1j * math.pi * (theta - w_far)))
+                / (1.0 - np.exp(-1j * math.pi * (theta + w_far))))
     return out if out.shape else complex(out)
 
 
 def disk_to_strip(theta: float, omega) -> complex:
-    """Inverse of :func:`strip_to_disk` on the closed disk."""
+    """Inverse of :func:`strip_to_disk` on the closed disk.
+
+    The images of the strip's ends, 1 (Im w -> -inf) and exp(2 i pi theta)
+    (Im w -> +inf), where x below is infinite or 0, raise DomainError.
+    """
     _check_theta(theta)
     om = np.asarray(omega, dtype=complex)
     if np.any(np.abs(om) > 1 + 1e-9):
         raise DomainError("point must lie in the closed unit disk")
-    x = (np.exp(1j * math.pi * theta) - om * np.exp(-1j * math.pi * theta)) / (1.0 - om)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = (np.exp(1j * math.pi * theta) - om * np.exp(-1j * math.pi * theta)) / (1.0 - om)
+    if np.any(np.isinf(x) | (x == 0)):
+        raise DomainError("the strip's end images 1 and exp(2 i pi theta) have no preimage")
     ang = np.angle(x)
     # x lies in the closed upper half-plane; rounding below the negative real
     # axis must not wrap Re(w) from 1 to -1
@@ -517,14 +528,13 @@ class HarmonicMeasure:
     with a power substitution so that the pullback of analytic integrands keeps
     spectral accuracy despite the corner exponents of the conformal map.
     Read-only per-node arrays: ``z``, ``weights``, ``w_strip``, ``is_v1``,
-    ``edge`` (the edge index of :attr:`TriangleDomain.edges`), ``tau`` (the
-    node's parameter in [0, 1] along that edge) and ``density`` (the measure's
-    density with respect to arclength at the node).
+    ``edge`` (the edge index of :attr:`TriangleDomain.edges`) and ``tau`` (the
+    node's parameter in [0, 1] along that edge).
     """
 
     def __init__(self, domain: TriangleDomain, nodes_per_edge: int):
         self.domain = domain
-        m = _triangle_map(domain)
+        m = _TriangleMap(domain)
         self.theta = m.theta
         # grading exponents per corner type
         g_apex = _grading(m.alpha)
@@ -532,13 +542,13 @@ class HarmonicMeasure:
         n_lo = nodes_per_edge // 2
         n_hi = nodes_per_edge - n_lo
 
-        rows = []  # (edge_id, z, tau, weight, w_strip, density)
+        rows = []  # (edge_id, z, tau, weight, w_strip)
 
         def gl01(n):
             x, w = leggauss(n)
             return (x + 1.0) / 2.0, w / 2.0
 
-        def finish(edge_id, z_vals, weights, one_minus, abs_zeta, pois_true):
+        def finish(edge_id, z_vals, weights, one_minus, abs_zeta):
             """Assemble one graded half-edge.
 
             one_minus carries the exact value of 1 - zeta (the distance to the
@@ -550,38 +560,24 @@ class HarmonicMeasure:
                     "grading drove a node onto a prevertex; reduce nodes_per_edge "
                     "or use a less extreme triangle"
                 )
-            start, end = domain.edges[edge_id]
-            L2 = abs(end - start) ** 2
-            z_vals = np.asarray(z_vals)
-            tau = np.clip(((z_vals - start) * np.conj(end - start)).real / L2, 0.0, 1.0)
-            snapped = start + tau * (end - start)
+            tau, snapped = _edge_projection(np.asarray(z_vals), *domain.edges[edge_id])
             drift = float(np.abs(snapped - z_vals).max())
             if drift > 1e-8 * domain.scale:
                 raise ConvergenceError(f"boundary node drifted {drift} off edge {edge_id}")
-            log_abs_om = np.log(np.abs(one_minus))
-            w_strip = m.strip(one_minus)
-            log_fp = (
-                math.log(abs(m.C))
-                + (m.alpha - 1.0) * np.log(abs_zeta)
-                + (m.beta - 1.0) * log_abs_om
-            )
-            density = np.exp(np.log(pois_true) - log_fp)
-            rows.append((edge_id, snapped, tau, weights, w_strip, density))
+            rows.append((edge_id, snapped, tau, weights, m.strip(one_minus)))
 
         # edge 0 toward the apex: zeta = u^g / 2
         u, glw = gl01(n_lo)
         zeta = 0.5 * u**g_apex
         dz = 0.5 * g_apex * u ** (g_apex - 1)
-        finish(0, m.chart_apex(zeta), m.poisson(zeta) * dz * glw,
-               1.0 - zeta, zeta, m.poisson(zeta))
+        finish(0, m.chart_apex(zeta), m.poisson(zeta) * dz * glw, 1.0 - zeta, zeta)
 
         # edge 0 toward vm: zeta = 1 - sigma, sigma = u^g / 2
         u, glw = gl01(n_hi)
         sig = 0.5 * u**g_base
         zeta = 1.0 - sig
         dz = 0.5 * g_base * u ** (g_base - 1)
-        finish(0, m.chart_vm(sig), m.poisson(zeta) * dz * glw,
-               sig, zeta, m.poisson(zeta))
+        finish(0, m.chart_vm(sig), m.poisson(zeta) * dz * glw, sig, zeta)
 
         # Edge 1 carries the damping's oscillation e^(i y ln(eps)/theta) in the
         # strip ordinate y, at uniform frequency.  The pushforward density on
@@ -604,15 +600,13 @@ class HarmonicMeasure:
         sig = sig0 * u**g_tail
         zeta = 1.0 + sig
         dz = sig0 * g_tail * u ** (g_tail - 1)
-        finish(1, m.chart_vm(-sig), m.poisson(zeta) * dz * glw,
-               -sig, zeta, m.poisson(zeta))
+        finish(1, m.chart_vm(-sig), m.poisson(zeta) * dz * glw, -sig, zeta)
 
         # central window: Gauss nodes with respect to the strip density itself
         y_mid, w_mid = _gauss_vs_strip_density(m.theta, y_cut, n_mid)
         zeta = 1.0 + q * np.exp(math.pi * y_mid)
         z_mid = np.array([m.f(complex(zz)) for zz in zeta])
-        finish(1, z_mid, w_mid,
-               -q * np.exp(math.pi * y_mid), zeta, m.poisson(zeta))
+        finish(1, z_mid, w_mid, -q * np.exp(math.pi * y_mid), zeta)
 
         # vp tail: rho = 1/zeta above the central window
         u, glw = gl01(n_tail)
@@ -620,36 +614,33 @@ class HarmonicMeasure:
         rho = rho0 * u**g_tail
         drho = rho0 * g_tail * u ** (g_tail - 1)
         finish(1, m.chart_vp(rho), m.poisson_far(rho, +1.0) * drho * glw,
-               1.0 - 1.0 / rho, 1.0 / rho, m.poisson(1.0 / rho))
+               1.0 - 1.0 / rho, 1.0 / rho)
 
         # edge 2 toward vp: zeta = -1/rho, rho = u^g
         u, glw = gl01(n_lo)
         rho = u**g_base
         drho = g_base * u ** (g_base - 1)
         finish(2, m.chart_vp(-rho), m.poisson_far(rho, -1.0) * drho * glw,
-               1.0 + 1.0 / rho, 1.0 / rho, m.poisson(-1.0 / rho))
+               1.0 + 1.0 / rho, 1.0 / rho)
 
         # edge 2 toward the apex: zeta = -u^g
         u, glw = gl01(n_hi)
         xi = u**g_apex
         zeta = -xi
         dz = g_apex * u ** (g_apex - 1)
-        finish(2, m.chart_apex(zeta.astype(complex)), m.poisson(zeta) * dz * glw,
-               1.0 + xi, xi, m.poisson(zeta))
+        finish(2, m.chart_apex(zeta.astype(complex)), m.poisson(zeta) * dz * glw, 1.0 + xi, xi)
 
         edge = np.concatenate([np.full(r[1].size, r[0]) for r in rows])
         z = np.concatenate([r[1] for r in rows])
         tau = np.concatenate([r[2] for r in rows])
         weights = np.concatenate([r[3] for r in rows])
         w_strip = np.concatenate([np.atleast_1d(r[4]) for r in rows])
-        density = np.concatenate([r[5] for r in rows])
 
         order = np.lexsort((tau, edge))
         self.edge = edge[order].astype(int)
         self.z = z[order]
         self.tau = tau[order]
         self.weights = weights[order]
-        self.density = density[order]
         self.is_v1 = self.edge == 1
         w_strip = w_strip[order]
 
@@ -669,8 +660,7 @@ class HarmonicMeasure:
         if drift > 1e-7:
             raise ConvergenceError(f"strip coordinates drifted {drift} off the boundary lines")
         self.w_strip = np.where(self.is_v1, 1.0, 0.0) + 1j * w_strip.imag
-        for arr in (self.z, self.weights, self.w_strip, self.is_v1, self.edge, self.tau,
-                    self.density):
+        for arr in (self.z, self.weights, self.w_strip, self.is_v1, self.edge, self.tau):
             arr.flags.writeable = False
 
     def integrate(self, values) -> complex:

@@ -35,8 +35,6 @@ __all__ = [
     "SplitCertificate",
     "node_constants",
     "split",
-    "approximant",
-    "ApproximantResult",
     "dimension_sweep",
     "SweepRow",
     "certificate_text",
@@ -255,49 +253,6 @@ def split(
                         f"dense oracle found {ref}, above the ascent estimate {val}"
                     )
     return certs[0] if np.ndim(epsilon) == 0 else certs
-
-
-class ApproximantResult(NamedTuple):
-    tprime: OperatorMatrix
-    approx_error: float
-    gamma2_norm: float
-    unscaled_gap: float
-
-
-def approximant(
-    semigroup,
-    domain: TriangleDomain,
-    cert: SplitCertificate,
-    p: float,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-) -> ApproximantResult:
-    """The near-approximant theta*T1 of T(t), read off a :func:`split` certificate.
-
-    ``cert`` is a certificate of ``semigroup`` on ``domain`` at exponent p.
-    Returns (T', ||T(t) - T'||_{p->p}, ||T'||_{p->2}, ||T(t) - T1||_{p->p});
-    the last entry records the gap to the unscaled vertical part as well.
-    """
-    space = semigroup.space
-    theta = cert.theta
-    Tt = semigroup.evaluate(domain.t).entries
-    tprime_entries = theta * cert.T1.entries
-    tprime = OperatorMatrix.on(space, tprime_entries)
-    approx_error, unscaled = (
-        est.value
-        for est in opnorm_lower_many(
-            [OperatorMatrix.on(space, Tt - tprime_entries),
-             OperatorMatrix.on(space, Tt - cert.T1.entries)],
-            p, p, restarts, seed,
-        )
-    )
-    gamma2_norm = opnorm_lower(tprime, p, 2.0, restarts=restarts, seed=seed).value
-    budget = (1.0 - theta) * cert.C0_measured * cert.epsilon * (1.0 + PADDING)
-    if approx_error > budget:
-        raise ConvergenceError(
-            f"approximation error {approx_error} exceeds its budget {budget}"
-        )
-    return ApproximantResult(tprime, float(approx_error), float(gamma2_norm), float(unscaled))
 
 
 class SweepRow(NamedTuple):

@@ -66,6 +66,34 @@ def test_strip_disk_round_trip():
         assert abs(w - w2) <= 1e-12
 
 
+def test_strip_to_disk_at_the_strip_ends():
+    # exp(i pi w) overflows below Im w = -226, yet the map tends to 1 there, and
+    # to exp(2 i pi theta) as Im w -> +inf, both on the unit circle
+    theta = 0.61
+    for w, end in ((0.5 - 300j, 1.0), (0.5 + 300j, cmath.exp(2j * math.pi * theta))):
+        omega = strip_to_disk(theta, w)
+        assert abs(abs(omega) - 1.0) <= 1e-15
+        assert abs(omega - end) <= 1e-15
+    # a column of the strip, both far ends included, maps in one call and
+    # round-trips wherever doubles resolve it
+    w = 0.5 + 1j * np.array([-300.0, -227.0, -3.0, 0.0, 3.0, 227.0, 300.0])
+    omega = strip_to_disk(theta, w)
+    assert np.all(np.abs(omega) <= 1.0 + 1e-15)
+    near = np.abs(w.imag) <= 3.0
+    np.testing.assert_allclose(disk_to_strip(theta, omega[near]), w[near], atol=1e-11)
+
+
+@pytest.mark.parametrize("omega", [1.0, np.array([0.5, 1.0]), "far"],
+                         ids=["one", "in-an-array", "image-of-w"])
+def test_disk_to_strip_rejects_the_image_of_the_lower_end(omega):
+    # 1 is the image of Im w -> -inf, so it has no strip coordinate
+    theta = 0.61
+    if isinstance(omega, str):
+        omega = strip_to_disk(theta, 0.5 - 300j)
+    with pytest.raises(DomainError):
+        disk_to_strip(theta, omega)
+
+
 def test_strip_damping_values():
     theta, eps = 0.4, 1e-2
     assert strip_damping(theta, eps, theta) == pytest.approx(1.0, abs=1e-15)
@@ -391,12 +419,6 @@ def test_density_matches_map_derivative(default_measure, default_domain):
         )
 
 
-def test_density_at_a_node_is_the_stored_density(default_measure):
-    hm = default_measure
-    for i, z in enumerate(hm.z):
-        assert boundary_density(hm, z) == hm.density[i]
-
-
 def test_density_off_the_nodes_is_the_inverse_map_value(default_measure, default_domain):
     # the point alone decides the value: 0.9 (s+a-ib) lies between nodes of
     # edge 0, and no node's density is within 6% of its own
@@ -406,7 +428,8 @@ def test_density_off_the_nodes_is_the_inverse_map_value(default_measure, default
     d = boundary_density(hm, z)
     assert d == pytest.approx(0.0048865, rel=1e-4)
     assert d == pytest.approx(_disk_map_density(V, z, 0), rel=1e-4)
-    assert not np.isclose(hm.density, d, rtol=1e-2, atol=0).any()
+    at_nodes = [boundary_density(hm, z) for z in hm.z]
+    assert not np.isclose(at_nodes, d, rtol=1e-2, atol=0).any()
 
 
 def test_density_rejects_points_off_the_boundary(default_measure, default_domain):
@@ -436,7 +459,7 @@ def test_density_is_symmetric_about_the_real_axis(default_measure, default_domai
 
 
 def test_node_arrays_are_read_only(default_measure):
-    for name in ("z", "weights", "w_strip", "is_v1", "edge", "tau", "density"):
+    for name in ("z", "weights", "w_strip", "is_v1", "edge", "tau"):
         arr = getattr(default_measure, name)
         with pytest.raises(ValueError):
             arr[0] = arr[0]

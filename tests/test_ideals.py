@@ -14,6 +14,7 @@ from semisplit import (
     opnorm_lower,
     split,
 )
+from semisplit.cli import GATES
 from semisplit.splitter import SplitCertificate
 from semisplit.errors import DomainError, ShapeError
 from semisplit.ideals import spectral_norm
@@ -135,7 +136,7 @@ def test_generic_split_hilbert_schmidt(default_domain, default_measure, cube3):
     hs = make_schatten_like("hilbert-schmidt")
     cert = generic_split(cube3, default_domain, default_measure, hs, spectral_norm, 1e-2)
     assert cert.bound_T0_ok and cert.bound_T1_ok
-    assert cert.recon_error_pp <= 1e-6
+    assert cert.recon_error_pp <= GATES["recon_error"]
     cert1 = generic_split(cube3, default_domain, default_measure, hs, spectral_norm, 1.0)
     assert cert1.recon_error_pp <= 1e-7
 

@@ -85,12 +85,12 @@ def test_perfbench_limits_match_the_library():
 
 
 # no code in src/ uses scipy: the corollary's Nelder-Mead search is
-# subspaces._nelder_mead, the Sylvester matrix and the Gauss rules come from
-# numpy, and Gamma, 1/Gamma, B and the Jacobi polynomials are ports in
-# geometry (scipy.special alone loads about 280 modules, among them
-# numpy.testing and numpy.f2py); scipy stays a test-side reference. The two
-# submodules the library once used are named on their own, so a failure says
-# which came back; "scipy" covers every other one
+# subspaces._nelder_mead, the Sylvester matrix comes from numpy, and the Gauss
+# rules are Golub-Welsch eigenproblems with B(a, b) from math.lgamma
+# (scipy.special alone loads about 280 modules, among them numpy.testing and
+# numpy.f2py); scipy stays a test-side reference. The two submodules the
+# library once used are named on their own, so a failure says which came
+# back; "scipy" covers every other one
 UNUSED_SCIPY = ("scipy.optimize", "scipy.linalg", "scipy")
 
 

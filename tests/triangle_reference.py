@@ -220,20 +220,24 @@ def conformal_from_disk(domain: TriangleDomain, omega: complex) -> complex:
 def boundary_density(hm: HarmonicMeasure, z: complex) -> float:
     """Density of the measure with respect to arclength at the boundary point z.
 
-    The stored ``hm.density`` value at a node, the inverse-map value elsewhere.
+    It is poisson(zeta) / |f'(zeta)| at the preimage zeta of z, at a node as
+    anywhere else.
     """
     z = complex(z)
-    at_node = np.flatnonzero(hm.z == z)
-    if at_node.size:
-        return float(hm.density[at_node[0]])
     dist, _ = hm.domain.edge_distance([z])
     if dist[0] > 1e-9 * hm.domain.scale:
         raise DomainError(f"{z} is not a boundary point")
     m = _triangle_map(hm.domain)
     # the density is symmetric about the real axis, like the triangle
-    zeta, _ = m.invert(z.conjugate() if z.imag > 0 else z)
+    zeta, one_minus = m.invert(z.conjugate() if z.imag > 0 else z)
     x = zeta.real
-    return float(m.poisson(x) / abs(m.fprime(complex(x, 0.0))))
+    if x == 0 or one_minus == 0:
+        return 0.0  # each corner angle is below pi, so |f'| is infinite there
+    # |f'| = |C| |x|^(alpha-1) |1-x|^(beta-1), with the inverse map's own
+    # 1 - zeta, which near the prevertex 1 is more exact than 1 - x
+    log_fp = (math.log(abs(m.C)) + (m.alpha - 1.0) * math.log(abs(x))
+              + (m.beta - 1.0) * math.log(abs(one_minus)))
+    return math.exp(math.log(m.poisson(x)) - log_fp)
 
 
 def strip_coordinate(hm: HarmonicMeasure, z: complex) -> StripCoordinate:
